@@ -788,7 +788,9 @@ let micro () =
   let state_names = Fm.state_names r.model in
   let names = Array.append state_names [| "t" |] in
   let env = Array.make (Array.length names) 0.01 in
-  let eval_fn = Om_expr.Eval.eval_fn names heavy_eq in
+  let eval_fn =
+    Om_expr.Eval.eval_fn (Om_expr.Name_index.of_array names) heavy_eq
+  in
   let vm_prog = Om_expr.Vm.compile names heavy_eq in
   let vmstack_prog = Om_expr.Vm_stack.compile names heavy_eq in
   let y0 = Fm.initial_values r.model in
@@ -1560,6 +1562,105 @@ let jacobian_smoke () =
   Printf.printf "jacobian-smoke: colors < states and fd evals = colors + 1\n"
 
 (* ------------------------------------------------------------------ *)
+(* Compile-time scaling: each frontend/codegen stage on its own, best of
+   3 wall-clock runs, with the backend split into the work it does per
+   task (CSE, lowering with peephole, dynamic-cost closures). *)
+
+let compile_stages () =
+  section
+    "Compile-time scaling: per-stage wall time (ms, best of 3; flatten \
+     includes parse)";
+  let module Cse = Om_codegen.Cse in
+  let module Ni = Om_expr.Name_index in
+  let now = Om_parallel.Monotonic.now in
+  let best f =
+    let t = ref infinity and r = ref None in
+    for _ = 1 to 3 do
+      Gc.compact ();
+      let t0 = now () in
+      r := Some (f ());
+      t := Float.min !t (now () -. t0)
+    done;
+    (1000. *. !t, Option.get !r)
+  in
+  let row ?(frontend = true) label fm_of =
+    let flatten_ms, fm = best fm_of in
+    let typecheck_ms, () = best (fun () -> Om_lang.Typecheck.check fm) in
+    let analyse_ms, _ = best (fun () -> P.analyse fm) in
+    let c = P.default_config in
+    let partition_ms, plan =
+      best (fun () ->
+          Om_codegen.Partition.partition ~merge_threshold:c.merge_threshold
+            ~split_threshold:c.split_threshold
+            (Om_codegen.Assignments.of_flat_model fm))
+    in
+    let state_names = Fm.state_names fm in
+    let backend_ms, _ =
+      best (fun () -> Om_codegen.Bytecode_backend.compile plan ~state_names)
+    in
+    (* The backend's per-task work, through the same public calls. *)
+    let tasks = Array.to_list plan.tasks in
+    let cse_ms, blocks =
+      best (fun () ->
+          List.map
+            (fun (tk : Om_codegen.Partition.task) ->
+              Cse.eliminate
+                ~prefix:(Printf.sprintf "cse$%d$" tk.tid)
+                (List.map
+                   (fun (s, e) -> (Printf.sprintf "slot$%d" s, e))
+                   tk.roots))
+            tasks)
+    in
+    let temps = List.concat_map (fun (b : Cse.block) -> b.temps) blocks in
+    let index =
+      Ni.of_array
+        (Array.concat
+           [ state_names; [| "t" |];
+             Array.of_list (List.map (fun (t : Cse.binding) -> t.name) temps) ])
+    in
+    let out_size = Om_codegen.Partition.n_slots plan in
+    let lower_ms, _ =
+      best (fun () ->
+          List.map2
+            (fun (tk : Om_codegen.Partition.task) (b : Cse.block) ->
+              Om_expr.Vm.compile_stmts ~out_size index
+                (List.map
+                   (fun (t : Cse.binding) ->
+                     (t.expr, Om_expr.Vm.To_env (Ni.find index t.name)))
+                   b.temps
+                @ List.map2
+                    (fun (s, _) (_, e) -> (e, Om_expr.Vm.To_out s))
+                    tk.roots b.roots))
+            tasks blocks)
+    in
+    let cost_dyn_ms, _ =
+      best (fun () ->
+          List.map
+            (fun (t : Cse.binding) -> Om_expr.Cost_dyn.build index t.expr)
+            temps
+          @ List.concat_map
+              (fun (b : Cse.block) ->
+                List.map (fun (_, e) -> Om_expr.Cost_dyn.build index e) b.roots)
+              blocks)
+    in
+    Printf.printf "%-11s %7s %7.1f %7.1f %7.1f %7.1f %7.1f %7.1f %7.1f\n"
+      label
+      (if frontend then Printf.sprintf "%.1f" flatten_ms else "-")
+      typecheck_ms partition_ms backend_ms cse_ms lower_ms cost_dyn_ms
+      analyse_ms
+  in
+  Printf.printf "%-11s %7s %7s %7s %7s %7s %7s %7s %7s\n" "model" "flatten"
+    "tcheck" "part" "backend" "cse" "lower" "costdyn" "analyse";
+  let source s () = Om_lang.Flatten.flatten (Om_lang.Parser.parse_model s) in
+  let bscaled n = source (Om_models.Bearing_scaled.source ~n_rollers:n ()) in
+  row "bscaled60" (bscaled 60);
+  row "bscaled120" (bscaled 120);
+  (* heat_1d is built directly as a flat model: no parse or flatten. *)
+  row ~frontend:false "heat3000" (fun () ->
+      Om_pde.Discretize.heat_1d ~n:3000 ());
+  row "bearing2d" (source (Om_models.Bearing2d.source ()))
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1588,6 +1689,7 @@ let experiments =
     ("serve-smoke", serve_smoke);
     ("jacobian", jacobian);
     ("jacobian-smoke", jacobian_smoke);
+    ("compile-stages", compile_stages);
   ]
 
 let () =

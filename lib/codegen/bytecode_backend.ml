@@ -96,19 +96,14 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
         List.map (fun (t : Cse.binding) -> t.name) b.temps)
       blocks
   in
+  (* One slot index for the whole artifact, shared by every task's
+     lowering and closures. *)
   let names =
-    Array.concat
-      [ state_names; [| "t" |]; Array.of_list temp_names ]
+    Om_expr.Name_index.of_array
+      (Array.concat [ state_names; [| "t" |]; Array.of_list temp_names ])
   in
-  let env_size = Array.length names in
-  let slot_of_name =
-    let h = Hashtbl.create 64 in
-    Array.iteri (fun i n -> Hashtbl.replace h n i) names;
-    fun n ->
-      match Hashtbl.find_opt h n with
-      | Some i -> i
-      | None -> invalid_arg ("Bytecode_backend: unknown name " ^ n)
-  in
+  let env_size = Om_expr.Name_index.size names in
+  let slot_of_name = Om_expr.Name_index.find names in
   let out_size = Partition.n_slots plan in
   (* Pure per-task compile products, shared by every scratch instance:
      register programs (whose instruction streams are immutable) or

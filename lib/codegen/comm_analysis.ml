@@ -4,15 +4,14 @@ type info = {
 }
 
 let analyse (plan : Partition.plan) ~state_names =
-  let index = Hashtbl.create 64 in
-  Array.iteri (fun i n -> Hashtbl.replace index n i) state_names;
+  let index = Om_expr.Name_index.of_array state_names in
   let task_reads (t : Partition.task) =
     let module Iset = Set.Make (Int) in
     List.fold_left
       (fun acc (_, e) ->
         List.fold_left
           (fun acc v ->
-            match Hashtbl.find_opt index v with
+            match Om_expr.Name_index.find_opt index v with
             | Some i -> Iset.add i acc
             | None -> acc)
           acc

@@ -1,11 +1,25 @@
 module E = Om_expr.Expr
 module Smap = Map.Make (String)
 
-module Etbl = Hashtbl.Make (struct
-  type t = E.t
+(* A subtree annotated bottom-up with its structural hash and size, so
+   that no pass rehashes or re-measures a subtree: every per-node cost
+   below is O(1) plus an [E.equal] on genuine hash hits. *)
+type node = { sub : E.t; hash : int; size : int; kids : node list }
 
-  let equal = E.equal
-  let hash = E.hash
+let rec annotate e =
+  let kids = List.map annotate (E.children e) in
+  {
+    sub = e;
+    hash = E.hash_node e (List.map (fun k -> k.hash) kids);
+    size = List.fold_left (fun n k -> n + k.size) 1 kids;
+    kids;
+  }
+
+module Ntbl = Hashtbl.Make (struct
+  type t = node
+
+  let equal a b = a.hash = b.hash && E.equal a.sub b.sub
+  let hash n = n.hash
 end)
 
 type binding = { name : string; expr : E.t }
@@ -20,51 +34,62 @@ let extractable e =
   | E.Const _ | E.Var _ -> false
   | E.Add _ | E.Mul _ | E.Pow _ | E.Call _ | E.If _ -> true
 
-(* All rewriting below goes through [E.map_exact]: the smart constructors
-   keep n-ary [Add]/[Mul] operands sorted, so replacing an extracted
-   subtree with its temp variable (whose sort position differs from the
-   subtree's) would reorder the operand list — and reordering a
-   left-to-right float fold is a reassociation that can change the result
-   by an ulp.  An order-preserving swap of a subtree for a variable bound
-   to its value is exactly value-preserving, which the differential fuzz
-   oracle relies on: every backend must reproduce the tree-walk
-   interpreter bitwise. *)
+(* All rewriting below preserves operand order ([E.with_children],
+   [E.map_exact]): the smart constructors keep n-ary [Add]/[Mul]
+   operands sorted, so replacing an extracted subtree with its temp
+   variable (whose sort position differs from the subtree's) would
+   reorder the operand list — and reordering a left-to-right float fold
+   is a reassociation that can change the result by an ulp.  An
+   order-preserving swap of a subtree for a variable bound to its value
+   is exactly value-preserving, which the differential fuzz oracle
+   relies on: every backend must reproduce the tree-walk interpreter
+   bitwise. *)
 let subst_exact = E.map_exact
-let subst_children = E.map_exact_children
 
 let eliminate ?(min_size = 3) ?(min_count = 2) ?(prefix = "cse$") targets =
-  (* Pass 1: count syntactic occurrences of every candidate subtree. *)
-  let counts = Etbl.create 256 in
-  let rec count e =
-    if extractable e && E.size e >= min_size then
-      Etbl.replace counts e
-        (1 + Option.value ~default:0 (Etbl.find_opt counts e));
-    List.iter count (E.children e)
+  let trees = List.map (fun (t, e) -> (t, annotate e)) targets in
+  (* Pass 1: count syntactic occurrences of every candidate subtree.
+     [replace] keeps the last occurrence as the representative.  The
+     (size, E.compare) order is total over distinct keys, so the
+     table's iteration order does not leak into the naming. *)
+  let counts = Ntbl.create 256 in
+  let rec count n =
+    if extractable n.sub && n.size >= min_size then
+      Ntbl.replace counts n
+        (1 + Option.value ~default:0 (Ntbl.find_opt counts n));
+    List.iter count n.kids
   in
-  List.iter (fun (_, e) -> count e) targets;
+  List.iter (fun (_, n) -> count n) trees;
   let shared =
-    Etbl.fold (fun e c acc -> if c >= min_count then e :: acc else acc) counts []
+    Ntbl.fold (fun n c acc -> if c >= min_count then n :: acc else acc) counts []
     |> List.sort (fun a b ->
-           let c = Int.compare (E.size a) (E.size b) in
-           if c <> 0 then c else E.compare a b)
+           let c = Int.compare a.size b.size in
+           if c <> 0 then c else E.compare a.sub b.sub)
   in
   (* Pass 2: name the shared subtrees smallest-first, so each definition
-     can refer to already-named smaller temps. *)
-  let names = Etbl.create 64 in
+     can refer to already-named smaller temps.  Rewriting replaces the
+     outermost named subtrees, rebuilding the spine in operand order. *)
+  let names = Ntbl.create 64 in
   let defs =
     List.mapi
-      (fun i e ->
+      (fun i n ->
         let name = prefix ^ string_of_int i in
-        Etbl.add names e name;
-        (name, e))
+        Ntbl.add names n name;
+        (name, n))
       shared
   in
-  let lookup e = Option.map E.var (Etbl.find_opt names e) in
-  let rewrite = subst_exact lookup in
-  let temps =
-    List.map (fun (name, e) -> { name; expr = subst_children lookup e }) defs
+  let rec rewrite n =
+    match Ntbl.find_opt names n with
+    | Some name -> E.var name
+    | None -> rewrite_children n
+  and rewrite_children n =
+    if n.kids = [] then n.sub
+    else E.with_children n.sub (List.map rewrite n.kids)
   in
-  let roots = List.map (fun (t, e) -> (t, rewrite e)) targets in
+  let temps =
+    List.map (fun (name, n) -> { name; expr = rewrite_children n }) defs
+  in
+  let roots = List.map (fun (t, n) -> (t, rewrite n)) trees in
   (* Pass 3: inline temps used at most once (their single consumer absorbs
      the definition) — extraction counts occurrences before substitution,
      so a subtree appearing only inside one bigger shared subtree would
@@ -104,12 +129,14 @@ let eliminate ?(min_size = 3) ?(min_count = 2) ?(prefix = "cse$") targets =
   in
   let roots = List.map (fun (t, e) -> (t, resolve e)) roots in
   (* Renumber the kept temps densely. *)
-  let renaming =
-    List.mapi (fun i b -> (b.name, E.var (prefix ^ string_of_int i))) kept
-  in
+  let renaming = Hashtbl.create 64 in
+  List.iteri
+    (fun i b ->
+      Hashtbl.replace renaming b.name (E.var (prefix ^ string_of_int i)))
+    kept;
   let rn e =
     subst_exact
-      (function E.Var v -> List.assoc_opt v renaming | _ -> None)
+      (function E.Var v -> Hashtbl.find_opt renaming v | _ -> None)
       e
   in
   let temps =

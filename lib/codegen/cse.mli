@@ -26,7 +26,10 @@ val eliminate :
 (** Extract every subexpression of at least [min_size] nodes (default 3)
     occurring at least [min_count] times (default 2) across the given
     target/expression pairs.  Temporary names are [prefix ^ string_of_int i]
-    (default prefix ["cse$"]). *)
+    (default prefix ["cse$"]), numbered smallest subtree first (ties in
+    {!Om_expr.Expr.compare} order).  Every subtree is hashed and sized
+    once, so the cost is linear in the total expression size plus the
+    equality checks of genuinely repeated subtrees. *)
 
 val temp_count : block -> int
 

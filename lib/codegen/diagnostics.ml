@@ -48,8 +48,6 @@ let pp ppf r =
 
 let restrict (m : Om_lang.Flat_model.t) ~keep =
   let g = Om_lang.Flat_model.dependency_graph m in
-  let index = Hashtbl.create 64 in
-  List.iteri (fun i (s, _) -> Hashtbl.replace index s i) m.states;
   let needed = Array.make (Om_graph.Digraph.node_count g) false in
   let rec mark v =
     if not needed.(v) then begin
@@ -60,7 +58,7 @@ let restrict (m : Om_lang.Flat_model.t) ~keep =
   in
   List.iter
     (fun s ->
-      match Hashtbl.find_opt index s with
+      match Om_graph.Digraph.find_node g s with
       | Some v -> mark v
       | None -> invalid_arg ("Diagnostics.restrict: unknown state " ^ s))
     keep;

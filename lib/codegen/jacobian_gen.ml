@@ -15,8 +15,7 @@ let target_coords s =
 
 let generate (m : Om_lang.Flat_model.t) =
   let states = Array.of_list (List.map fst m.states) in
-  let index = Hashtbl.create 64 in
-  Array.iteri (fun i s -> Hashtbl.replace index s i) states;
+  let index = Om_expr.Name_index.of_array states in
   let entries =
     List.concat
       (List.mapi
@@ -25,7 +24,7 @@ let generate (m : Om_lang.Flat_model.t) =
               occur: the rest are structural zeros. *)
            List.filter_map
              (fun v ->
-               match Hashtbl.find_opt index v with
+               match Om_expr.Name_index.find_opt index v with
                | None -> None
                | Some col ->
                    let d = Om_expr.Deriv.diff v rhs in
@@ -47,27 +46,31 @@ let density t =
 
 let flops t = Cse.block_cost t.block
 
-let compile t ~state_names =
-  let dim = t.dim in
-  if Array.length state_names <> dim then
-    invalid_arg "Jacobian_gen.compile: state_names length mismatch";
+(* The value environment of a compiled Jacobian (states, time, then CSE
+   temps, resolved through one index) and the steps filling its temps. *)
+let temp_env ~who t ~state_names =
+  if Array.length state_names <> t.dim then
+    invalid_arg (who ^ ": state_names length mismatch");
   let temp_names =
     List.map (fun (b : Cse.binding) -> b.name) t.block.temps
   in
   let names =
-    Array.concat [ state_names; [| "t" |]; Array.of_list temp_names ]
-  in
-  let env = Array.make (Array.length names) 0. in
-  let slot_of =
-    let h = Hashtbl.create 64 in
-    Array.iteri (fun i n -> Hashtbl.replace h n i) names;
-    Hashtbl.find h
+    Om_expr.Name_index.of_array
+      (Array.concat [ state_names; [| "t" |]; Array.of_list temp_names ])
   in
   let temp_steps =
     List.map
       (fun (b : Cse.binding) ->
-        (slot_of b.name, Om_expr.Eval.eval_fn names b.expr))
+        ( Om_expr.Name_index.find names b.name,
+          Om_expr.Eval.eval_fn names b.expr ))
       t.block.temps
+  in
+  (names, Array.make (Om_expr.Name_index.size names) 0., temp_steps)
+
+let compile t ~state_names =
+  let dim = t.dim in
+  let names, env, temp_steps =
+    temp_env ~who:"Jacobian_gen.compile" t ~state_names
   in
   let root_steps =
     List.map
@@ -89,27 +92,10 @@ let pattern t =
 
 let compile_values t ~state_names =
   let dim = t.dim in
-  if Array.length state_names <> dim then
-    invalid_arg "Jacobian_gen.compile_values: state_names length mismatch";
+  let names, env, temp_steps =
+    temp_env ~who:"Jacobian_gen.compile_values" t ~state_names
+  in
   let pat = pattern t in
-  let temp_names =
-    List.map (fun (b : Cse.binding) -> b.name) t.block.temps
-  in
-  let names =
-    Array.concat [ state_names; [| "t" |]; Array.of_list temp_names ]
-  in
-  let env = Array.make (Array.length names) 0. in
-  let slot_of =
-    let h = Hashtbl.create 64 in
-    Array.iteri (fun i n -> Hashtbl.replace h n i) names;
-    Hashtbl.find h
-  in
-  let temp_steps =
-    List.map
-      (fun (b : Cse.binding) ->
-        (slot_of b.name, Om_expr.Eval.eval_fn names b.expr))
-      t.block.temps
-  in
   (* Each root target lands at its compressed slot in [pat]'s CSR value
      order, so the closure matches [Odesys.t.sjac]'s contract. *)
   let root_steps =

@@ -80,11 +80,8 @@ let prepare_many ~source params =
         fm.Om_lang.Flat_model.equations
     in
     let index_of =
-      let h = Hashtbl.create 64 in
-      List.iteri
-        (fun i (n, _) -> Hashtbl.replace h n i)
-        fm.Om_lang.Flat_model.states;
-      Hashtbl.find h
+      Om_expr.Name_index.find
+        (Om_expr.Name_index.of_array (Om_lang.Flat_model.state_names fm))
     in
     let slot_sets =
       List.map

@@ -5,6 +5,7 @@ type t = {
   mutable n : int;
   mutable m : int;
   index : (string, int) Hashtbl.t;
+  edge_set : (int * int, unit) Hashtbl.t;  (* O(1) duplicate-edge test *)
 }
 
 let create () =
@@ -15,6 +16,7 @@ let create () =
     n = 0;
     m = 0;
     index = Hashtbl.create 16;
+    edge_set = Hashtbl.create 16;
   }
 
 let grow g =
@@ -45,12 +47,13 @@ let check g v =
 let mem_edge g a b =
   check g a;
   check g b;
-  List.mem b g.out_edges.(a)
+  Hashtbl.mem g.edge_set (a, b)
 
 let add_edge g a b =
   check g a;
   check g b;
-  if not (List.mem b g.out_edges.(a)) then (
+  if not (Hashtbl.mem g.edge_set (a, b)) then (
+    Hashtbl.add g.edge_set (a, b) ();
     g.out_edges.(a) <- b :: g.out_edges.(a);
     g.in_edges.(b) <- a :: g.in_edges.(b);
     g.m <- g.m + 1)

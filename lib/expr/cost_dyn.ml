@@ -1,18 +1,10 @@
-let build ?(weights = Cost.default) names e =
-  let index v =
-    let rec find i =
-      if i >= Array.length names then raise (Eval.Unbound v)
-      else if names.(i) = v then i
-      else find (i + 1)
-    in
-    find 0
-  in
+let build ?(weights = Cost.default) index e =
   let w = weights in
   let rec build (e : Expr.t) : float array -> float ref -> float =
     match e with
     | Const x -> fun _ _ -> x
     | Var v ->
-        let i = index v in
+        let i = Name_index.find index v in
         fun env _ -> env.(i)
     | Add xs ->
         let fs = Array.of_list (List.map build xs) in

@@ -1,4 +1,4 @@
-exception Unbound of string
+exception Unbound = Name_index.Unbound
 
 type env = (string, float) Hashtbl.t
 
@@ -22,21 +22,13 @@ let rec eval env (e : Expr.t) =
       if Expr.eval_rel c.rel (eval env c.lhs) (eval env c.rhs) then eval env t
       else eval env e'
 
-let eval_fn names e =
-  let index v =
-    let rec find i =
-      if i >= Array.length names then raise (Unbound v)
-      else if names.(i) = v then i
-      else find (i + 1)
-    in
-    find 0
-  in
+let eval_fn index e =
   (* Compile the tree once into a closure over the value vector. *)
   let rec build (e : Expr.t) : float array -> float =
     match e with
     | Const x -> fun _ -> x
     | Var v ->
-        let i = index v in
+        let i = Name_index.find index v in
         fun ys -> ys.(i)
     | Add xs ->
         let fs = Array.of_list (List.map build xs) in

@@ -1,7 +1,8 @@
 (** Direct numeric evaluation of expressions. *)
 
 exception Unbound of string
-(** Raised when evaluation meets a variable absent from the environment. *)
+(** Raised when evaluation meets a variable absent from the environment;
+    the same exception as {!Name_index.Unbound}. *)
 
 type env = (string, float) Hashtbl.t
 
@@ -11,7 +12,8 @@ val eval : env -> Expr.t -> float
 (** Tree-walking evaluation.  [If] nodes evaluate only the taken branch.
     @raise Unbound for free variables not in [env]. *)
 
-val eval_fn : string array -> Expr.t -> float array -> float
-(** [eval_fn names e] pre-resolves every variable of [e] to an index into
-    [names] and returns a closure evaluating [e] against a value vector laid
-    out like [names].  @raise Unbound at closure-build time. *)
+val eval_fn : Name_index.t -> Expr.t -> float array -> float
+(** [eval_fn index e] pre-resolves every variable of [e] to its slot in
+    [index] and returns a closure evaluating [e] against a value vector
+    laid out like the indexed names.  Build the index once per layout and
+    share it across expressions.  @raise Unbound at closure-build time. *)

@@ -77,21 +77,26 @@ and compare_list xs ys =
 
 let equal a b = compare a b = 0
 
-let rec hash e =
-  match e with
-  | Const x -> Hashtbl.hash x
-  | Var s -> Hashtbl.hash s
-  | Add xs -> hash_list 3 xs
-  | Mul xs -> hash_list 5 xs
-  | Pow (x, y) -> (7 * hash x) + (11 * hash y)
-  | Call (f, xs) -> (13 * Hashtbl.hash f) + hash_list 17 xs
-  | If (c, t, e') ->
-      (19 * hash c.lhs)
-      + (23 * Hashtbl.hash c.rel)
-      + (29 * hash c.rhs) + (31 * hash t) + (37 * hash e')
+let children = function
+  | Const _ | Var _ -> []
+  | Add xs | Mul xs | Call (_, xs) -> xs
+  | Pow (a, b) -> [ a; b ]
+  | If (c, t, e) -> [ c.lhs; c.rhs; t; e ]
 
-and hash_list seed xs =
-  List.fold_left (fun acc x -> (acc * 131) + hash x) seed xs
+let hash_node e hs =
+  let combine seed = List.fold_left (fun acc h -> (acc * 131) + h) seed in
+  match (e, hs) with
+  | Const x, _ -> Hashtbl.hash x
+  | Var s, _ -> Hashtbl.hash s
+  | Add _, hs -> combine 3 hs
+  | Mul _, hs -> combine 5 hs
+  | Pow _, [ x; y ] -> (7 * x) + (11 * y)
+  | Call (f, _), hs -> (13 * Hashtbl.hash f) + combine 17 hs
+  | If (c, _, _), [ l; r; t; e' ] ->
+      (19 * l) + (23 * Hashtbl.hash c.rel) + (29 * r) + (31 * t) + (37 * e')
+  | (Pow _ | If _), _ -> invalid_arg "Expr.hash_node: wrong child count"
+
+let rec hash e = hash_node e (List.map hash (children e))
 
 let const x = Const x
 let int n = Const (float_of_int n)
@@ -318,12 +323,6 @@ let ( / ) = div
 let ( ** ) = powi
 let ( ~- ) = neg
 
-let children = function
-  | Const _ | Var _ -> []
-  | Add xs | Mul xs | Call (_, xs) -> xs
-  | Pow (a, b) -> [ a; b ]
-  | If (c, t, e) -> [ c.lhs; c.rhs; t; e ]
-
 let map_children f = function
   | (Const _ | Var _) as e -> e
   | Add xs -> add (List.map f xs)
@@ -336,21 +335,23 @@ let map_children f = function
 (* Order-preserving substitution: rebuilds with the raw constructors so
    n-ary operand lists are not re-sorted (the smart constructors would),
    keeping left-to-right float folds associated exactly as the input. *)
+let with_children e cs =
+  match (e, cs) with
+  | (Const _ | Var _), [] -> e
+  | Add _, cs -> Add cs
+  | Mul _, cs -> Mul cs
+  | Pow _, [ a; b ] -> Pow (a, b)
+  | Call (g, _), cs -> Call (g, cs)
+  | If (c, _, _), [ l; r; t; e' ] -> If ({ c with lhs = l; rhs = r }, t, e')
+  | _ -> invalid_arg "Expr.with_children: wrong child count"
+
 let rec map_exact f e =
   match f e with Some e' -> e' | None -> map_exact_children f e
 
 and map_exact_children f e =
   match e with
   | Const _ | Var _ -> e
-  | Add xs -> Add (List.map (map_exact f) xs)
-  | Mul xs -> Mul (List.map (map_exact f) xs)
-  | Pow (a, b) -> Pow (map_exact f a, map_exact f b)
-  | Call (g, xs) -> Call (g, List.map (map_exact f) xs)
-  | If (c, t, e') ->
-      If
-        ( { c with lhs = map_exact f c.lhs; rhs = map_exact f c.rhs },
-          map_exact f t,
-          map_exact f e' )
+  | _ -> with_children e (List.map (map_exact f) (children e))
 
 let rec fold f acc e = List.fold_left (fold f) (f acc e) (children e)
 

@@ -55,6 +55,12 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Structural hash, consistent with {!equal}. *)
 
+val hash_node : t -> int list -> int
+(** [hash_node e hs] is [hash e] given [hs], the hashes of
+    [children e] in order: a bottom-up walk hashes every subtree of a
+    tree in time linear in its size.
+    @raise Invalid_argument if [hs] has the wrong length for [e]. *)
+
 (** {1 Constructors} *)
 
 val const : float -> t
@@ -111,6 +117,12 @@ val children : t -> t list
 val map_children : (t -> t) -> t -> t
 (** Rebuild a node with every immediate child transformed by [f]; smart
     constructors re-normalise the result. *)
+
+val with_children : t -> t list -> t
+(** [with_children e cs] is [e] with its immediate children replaced by
+    [cs] (in {!children} order), rebuilt with the raw constructors like
+    {!map_exact}: no re-normalisation, operand order kept.
+    @raise Invalid_argument if [cs] has the wrong length for [e]. *)
 
 val map_exact : (t -> t option) -> t -> t
 (** [map_exact f e] replaces every subtree [s] (pre-order, outermost

@@ -89,6 +89,15 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
       if kb = K_reg then f fb.(i);
       if kc = K_reg then f fc.(i)
     in
+    (* Env slots an instruction reads ([ste]'s env field is a write). *)
+    let iter_env_reads i f =
+      if op.(i) <> op_ste then begin
+        let _, ka, kb, kc = field_kinds op.(i) in
+        if ka = K_env then f fa.(i);
+        if kb = K_env then f fb.(i);
+        if kc = K_env then f fc.(i)
+      end
+    in
     let defc = Array.make p.nregs 0 in
     let defi = Array.make p.nregs (-1) in
     let compute_defs () =
@@ -390,35 +399,37 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
     in
     (* ---- pass: dead-store elimination ---- *)
     let dse_pass () =
+      (* Live readers per register and per env slot, kept current as
+         instructions die.  Deletion only ever removes readers, so the
+         fixpoint is the same in any visiting order; walking backwards
+         lets a dead consumer free its producers in the same sweep. *)
       let uses = Array.make p.nregs 0 in
+      let env_uses = Hashtbl.create 64 in
+      let bump_env d s =
+        Hashtbl.replace env_uses s
+          (d + Option.value ~default:0 (Hashtbl.find_opt env_uses s))
+      in
       for i = 0 to n - 1 do
-        if live.(i) then iter_reg_reads i (fun r -> uses.(r) <- uses.(r) + 1)
+        if live.(i) then begin
+          iter_reg_reads i (fun r -> uses.(r) <- uses.(r) + 1);
+          iter_env_reads i (bump_env 1)
+        end
       done;
       let env_read s =
-        let found = ref false in
-        for i = 0 to n - 1 do
-          if live.(i) then begin
-            let o = op.(i) in
-            if
-              (o = op_ldv && fa.(i) = s)
-              || (o = op_vmul && (fa.(i) = s || fb.(i) = s))
-              || (o = op_vmacc && (fb.(i) = s || fc.(i) = s))
-            then found := true
-          end
-        done;
-        !found
+        Option.value ~default:0 (Hashtbl.find_opt env_uses s) > 0
       in
       let changed = ref false in
       let deleted = ref true in
       while !deleted do
         deleted := false;
-        for i = 0 to n - 1 do
+        for i = n - 1 downto 0 do
           if live.(i) then begin
             let o = op.(i) in
             if writes_reg o && uses.(dst.(i)) = 0 && dst.(i) <> p.result
             then begin
               live.(i) <- false;
               iter_reg_reads i (fun r -> uses.(r) <- uses.(r) - 1);
+              iter_env_reads i (bump_env (-1));
               deleted := true;
               changed := true
             end

@@ -97,18 +97,6 @@ let kpool em x =
       Hashtbl.add em.const_tbl key i;
       i
 
-(* O(1) variable lookup; first occurrence wins like the historical
-   linear scan. *)
-let index_of names =
-  let tbl = Hashtbl.create (max 16 (2 * Array.length names)) in
-  Array.iteri
-    (fun i name -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name i)
-    names;
-  fun v ->
-    match Hashtbl.find_opt tbl v with
-    | Some i -> i
-    | None -> raise (Eval.Unbound v)
-
 (* Lower an expression; returns the register holding its value.
    Evaluation order matches Eval.eval: operands left to right, an If's
    condition before its taken branch only. *)
@@ -120,7 +108,7 @@ let rec lower em index (e : Expr.t) =
       r
   | Var v ->
       let r = fresh em in
-      emit em Vm_code.op_ldv r (index v) 0 0;
+      emit em Vm_code.op_ldv r (Name_index.find index v) 0 0;
       r
   | Add [] -> lower em index Expr.zero
   | Mul [] -> lower em index Expr.one
@@ -243,13 +231,11 @@ let finish ?(optimize = true) ?private_env_slot em ~result ~env_size ~out_size =
 
 let compile ?optimize names e =
   let em = new_emitter () in
-  let index = index_of names in
-  let r = lower em index e in
+  let r = lower em (Name_index.of_array names) e in
   finish ?optimize em ~result:r ~env_size:(Array.length names) ~out_size:0
 
-let compile_stmts ?optimize ?private_env_slot ~out_size names stmts =
+let compile_stmts ?optimize ?private_env_slot ~out_size index stmts =
   let em = new_emitter () in
-  let index = index_of names in
   List.iter
     (fun (e, tgt) ->
       let r = lower em index e in
@@ -258,7 +244,7 @@ let compile_stmts ?optimize ?private_env_slot ~out_size names stmts =
       | To_out s -> emit em Vm_code.op_sto 0 r 0 s)
     stmts;
   finish ?optimize ?private_env_slot em ~result:(-1)
-    ~env_size:(Array.length names) ~out_size
+    ~env_size:(Name_index.size index) ~out_size
 
 let compile_epilogue ?optimize ~out_size groups =
   let em = new_emitter () in

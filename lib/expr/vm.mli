@@ -41,11 +41,13 @@ val compile_stmts :
   ?optimize:bool ->
   ?private_env_slot:(int -> bool) ->
   out_size:int ->
-  string array ->
+  Name_index.t ->
   (Expr.t * target) list ->
   program
 (** Compile a statement block — each expression evaluated in order and
-    stored to its target.  [private_env_slot] marks env slots only this
+    stored to its target.  Variables resolve through the given env
+    layout index, which callers compiling many blocks over one layout
+    build once and share.  [private_env_slot] marks env slots only this
     program reads (task-private CSE temporaries), letting the optimiser
     delete stores that end up unread.  Run with {!exec}. *)
 

@@ -14,18 +14,7 @@ type program = {
 }
 
 let compile names e =
-  (* Pre-built slot table: O(1) per variable instead of a linear scan.
-     First occurrence wins, matching the historical left-to-right
-     search. *)
-  let slots = Hashtbl.create (max 16 (2 * Array.length names)) in
-  Array.iteri
-    (fun i name -> if not (Hashtbl.mem slots name) then Hashtbl.add slots name i)
-    names;
-  let index v =
-    match Hashtbl.find_opt slots v with
-    | Some i -> i
-    | None -> raise (Eval.Unbound v)
-  in
+  let index = Name_index.of_array names in
   (* Growable emission buffer: [If] placeholders are back-patched in
      place, so compilation is linear in the instruction count. *)
   let buf = ref (Array.make 64 Pow_op) in
@@ -48,7 +37,7 @@ let compile names e =
         emit (Push x);
         1
     | Var v ->
-        emit (Load (index v));
+        emit (Load (Name_index.find index v));
         1
     | Add xs -> nary (fun k -> Add_n k) xs
     | Mul xs -> nary (fun k -> Mul_n k) xs

@@ -6,8 +6,8 @@
     native compiler was available.  Semantics match {!Eval.eval}
     exactly; the property tests cross-check all three engines.
 
-    Compilation is linear: variables resolve through a pre-built hash
-    table and [If] jumps are back-patched in a growable buffer. *)
+    Compilation is linear: variables resolve through a {!Name_index}
+    and [If] jumps are back-patched in a growable buffer. *)
 
 type instr =
   | Push of float

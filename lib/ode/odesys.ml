@@ -79,16 +79,18 @@ let rhs sys t y =
    f_i, so out-of-pattern forward differences are exactly [+0.]. *)
 let pattern_of_equations eqs =
   let dim = List.length eqs in
-  let names = Array.of_list (List.map fst eqs) in
-  let index = Hashtbl.create (2 * dim) in
-  Array.iteri (fun i s -> Hashtbl.replace index s i) names;
+  let index =
+    Om_expr.Name_index.of_array (Array.of_list (List.map fst eqs))
+  in
   let entries =
     List.concat
       (List.mapi
          (fun i (_, e) ->
            List.filter_map
              (fun v ->
-               Option.map (fun c -> (i, c)) (Hashtbl.find_opt index v))
+               Option.map
+                 (fun c -> (i, c))
+                 (Om_expr.Name_index.find_opt index v))
              (Om_expr.Expr.vars e))
          eqs)
   in
@@ -115,7 +117,9 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
   let dim = List.length eqs in
   let names = Array.of_list states in
   (* Value vector layout: states first, then time. *)
-  let layout = Array.append names [| time_var |] in
+  let layout =
+    Om_expr.Name_index.of_array (Array.append names [| time_var |])
+  in
   let fns =
     Array.of_list (List.map (fun (_, e) -> Om_expr.Eval.eval_fn layout e) eqs)
   in

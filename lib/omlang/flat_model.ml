@@ -30,15 +30,18 @@ let rhs_of m name =
     of paper Figures 3 and 6. *)
 let dependency_graph m =
   let g = Om_graph.Digraph.create () in
-  let ids =
-    List.map (fun (s, _) -> (s, Om_graph.Digraph.add_node g s)) m.states
-  in
+  List.iter (fun (s, _) -> ignore (Om_graph.Digraph.add_node g s)) m.states;
   List.iter
     (fun (y, rhs) ->
-      let target = List.assoc y ids in
+      let target =
+        match Om_graph.Digraph.find_node g y with
+        | Some id -> id
+        | None ->
+            invalid_arg ("Flat_model.dependency_graph: no state " ^ y)
+      in
       List.iter
         (fun v ->
-          match List.assoc_opt v ids with
+          match Om_graph.Digraph.find_node g v with
           | Some src -> Om_graph.Digraph.add_edge g src target
           | None -> ())
         (Om_expr.Expr.vars rhs))

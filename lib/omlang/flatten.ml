@@ -59,9 +59,12 @@ let resolve_class ?referrer classes cname =
             inherited bindings
         in
         (* Child members override same-keyed inherited members. *)
-        let child_keys = List.map member_key cls.members in
+        let child_keys = Hashtbl.create 16 in
+        List.iter
+          (fun m -> Hashtbl.replace child_keys (member_key m) ())
+          cls.members;
         List.filter
-          (fun m -> not (List.mem (member_key m) child_keys))
+          (fun m -> not (Hashtbl.mem child_keys (member_key m)))
           inherited
         @ cls.members
   in
@@ -171,12 +174,12 @@ let rec instantiate classes acc ~prefix ~cls_name ~bindings =
   (* Names bound at the instantiation site that do not match a declared
      parameter are imports; those matching parameters override defaults. *)
   let param_names =
-    List.filter_map
-      (function Ast.Parameter (n, _) -> Some n | _ -> None)
-      members
+    List.fold_left
+      (fun s -> function Ast.Parameter (n, _) -> Smap.add n () s | _ -> s)
+      Smap.empty members
   in
   let imports =
-    Smap.filter (fun k _ -> not (List.mem k param_names)) bindings
+    Smap.filter (fun k _ -> not (Smap.mem k param_names)) bindings
   in
   let ctx = { classes; prefix; locals; bindings = imports } in
   List.iter
@@ -225,14 +228,18 @@ let rec instantiate classes acc ~prefix ~cls_name ~bindings =
 let eliminate_defs defs =
   let names = List.map fst defs in
   let g = Om_graph.Digraph.create () in
-  let ids = List.map (fun n -> (n, Om_graph.Digraph.add_node g n)) names in
+  List.iter (fun n -> ignore (Om_graph.Digraph.add_node g n)) names;
+  (* Node ids are positions in [defs]; a name's first node and first
+     definition are the ones [find_node] and [def_of] return. *)
+  let id_of n = Option.get (Om_graph.Digraph.find_node g n) in
+  let exprs = Array.of_list (List.map snd defs) in
+  let def_of n = exprs.(id_of n) in
   List.iter
     (fun (n, e) ->
       List.iter
         (fun v ->
-          match List.assoc_opt v ids with
-          | Some src when v <> n ->
-              Om_graph.Digraph.add_edge g src (List.assoc n ids)
+          match Om_graph.Digraph.find_node g v with
+          | Some src when v <> n -> Om_graph.Digraph.add_edge g src (id_of n)
           | Some _ -> err "definition %s refers to itself" n
           | None -> ())
         (E.vars e))
@@ -254,10 +261,8 @@ let eliminate_defs defs =
   List.fold_left
     (fun resolved id ->
       let n = by_id.(id) in
-      let e = List.assoc n defs in
-      Smap.add n (Om_expr.Subst.apply_map resolved e) resolved)
-    Smap.empty
-    (List.map (fun id -> id) order)
+      Smap.add n (Om_expr.Subst.apply_map resolved (def_of n)) resolved)
+    Smap.empty order
 
 let flatten (model : Ast.model) : Flat_model.t =
   let classes = Hashtbl.create 16 in
@@ -315,15 +320,22 @@ let flatten (model : Ast.model) : Flat_model.t =
   check_dups "equation for" (List.map fst eqs);
   let resolved = eliminate_defs defs in
   let state_names = List.map fst states in
+  let is_state = Hashtbl.create (2 * List.length states) in
+  List.iter (fun s -> Hashtbl.replace is_state s ()) state_names;
   (* Every state needs exactly one equation, in state order. *)
+  let eq_table = Hashtbl.create (2 * List.length eqs) in
+  List.iter
+    (fun (s, rhs) ->
+      if not (Hashtbl.mem eq_table s) then Hashtbl.add eq_table s rhs)
+    eqs;
   let eq_for s =
-    match List.assoc_opt s eqs with
+    match Hashtbl.find_opt eq_table s with
     | Some rhs -> rhs
     | None -> err "no equation for state variable %s" s
   in
   List.iter
     (fun (s, _) ->
-      if not (List.mem s state_names) then
+      if not (Hashtbl.mem is_state s) then
         err "equation for %s, which is not a state variable" s)
     eqs;
   let subst e = Om_expr.Subst.apply_map resolved e in
@@ -333,7 +345,7 @@ let flatten (model : Ast.model) : Flat_model.t =
         let rhs = subst (eq_for s) in
         List.iter
           (fun v ->
-            if (not (List.mem v state_names)) && v <> "t" then
+            if (not (Hashtbl.mem is_state v)) && v <> "t" then
               err "unresolved name %s in the equation for %s" v s)
           (E.vars rhs);
         (s, rhs))

@@ -41,11 +41,21 @@ let intermediate_line_count m = List.length (intermediate_form m)
 let check (m : Flat_model.t) =
   let states = List.map fst m.states in
   let eq_states = List.map fst m.equations in
+  let set_of names =
+    let h = Hashtbl.create (2 * List.length names) in
+    List.iter (fun s -> Hashtbl.replace h s ()) names;
+    Hashtbl.mem h
+  in
+  let is_state = set_of states in
+  (* The compiled env lays states out before time, so a state named [t]
+     would shadow time in the VM but not in the tree interpreter. *)
+  if is_state "t" then
+    invalid_arg
+      "Typecheck.check: t is reserved for time and cannot name a state";
   (if List.sort compare states <> List.sort compare eq_states then
-     let missing =
-       List.filter (fun s -> not (List.mem s eq_states)) states
-     in
-     let extra = List.filter (fun s -> not (List.mem s states)) eq_states in
+     let has_eq = set_of eq_states in
+     let missing = List.filter (fun s -> not (has_eq s)) states in
+     let extra = List.filter (fun s -> not (is_state s)) eq_states in
      let part what = function
        | [] -> []
        | names -> [ Printf.sprintf "%s %s" what (String.concat ", " names) ]
@@ -64,7 +74,7 @@ let check (m : Flat_model.t) =
     (fun (s, rhs) ->
       List.iter
         (fun v ->
-          if (not (List.mem v states)) && v <> "t" then
+          if (not (is_state v)) && v <> "t" then
             invalid_arg
               (Printf.sprintf "Typecheck.check: %s is free in equation for %s"
                  v s))

@@ -15,6 +15,7 @@ val intermediate_form : ?width:int -> Flat_model.t -> string list
 val intermediate_line_count : Flat_model.t -> int
 
 val check : Flat_model.t -> unit
-(** Re-validate a flat model: equation/state bijection and closed
-    right-hand sides.  @raise Invalid_argument on violations (used by
-    property tests; [Flatten.flatten] output always passes). *)
+(** Re-validate a flat model: no state named [t] (the reserved time
+    variable), equation/state bijection and closed right-hand sides.
+    @raise Invalid_argument on violations (used by property tests;
+    [Flatten.flatten] output always passes). *)

@@ -535,6 +535,47 @@ let test_pipeline_rhs_equivalence () =
       Alcotest.(check (float 1e-10)) (Printf.sprintf "deriv %d" i) v d2.(i))
     d1
 
+(* Golden codegen identity: a digest of every task's and the epilogue's
+   disassembly plus constant pool (bit patterns).  Any change to CSE
+   temp naming order, env slot layout, lowering or peephole output
+   changes the digest; update the pins only for a deliberate codegen
+   change. *)
+let codegen_digest (m : Fm.t) =
+  let r = P.compile m in
+  let b = Buffer.create 4096 in
+  let add_program p =
+    Buffer.add_string b (Om_expr.Vm.disassemble p);
+    Array.iter
+      (fun k ->
+        Buffer.add_string b (Printf.sprintf "%Lx\n" (Int64.bits_of_float k)))
+      (Om_expr.Vm.raw p).rw_consts;
+    Buffer.add_string b "--\n"
+  in
+  Array.iter
+    (fun (tk : Bc.compiled_task) -> Option.iter add_program tk.program)
+    r.compiled.tasks;
+  Option.iter add_program r.compiled.epilogue_program;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_codegen_golden () =
+  List.iter
+    (fun (label, model, want) ->
+      Alcotest.(check string) label want (codegen_digest (model ())))
+    [
+      ( "bearing_scaled 8",
+        (fun () -> Om_models.Bearing_scaled.model ~n_rollers:8 ()),
+        "ae92120a380c91a5af513e0fa72fa458" );
+      ( "heat_1d 200",
+        (fun () -> Om_pde.Discretize.heat_1d ~n:200 ()),
+        "8f0ee0c751724df37f353e7ce4db48e4" );
+      ( "bearing2d",
+        (fun () -> Om_models.Bearing2d.model ()),
+        "34020f31c544c8b9c47fecadf7cc2543" );
+      ( "powerplant",
+        (fun () -> Om_models.Powerplant.model ()),
+        "55db8bd01905e7eb7b4c41b8c465a14e" );
+    ]
+
 let test_stats_directions () =
   (* The paper's qualitative relations: intermediate form larger than
      source; parallel CSE count >= serial CSE count; serial code smaller
@@ -823,6 +864,8 @@ let () =
           Alcotest.test_case "rhs equivalence" `Quick
             test_pipeline_rhs_equivalence;
           Alcotest.test_case "stats directions" `Quick test_stats_directions;
+          Alcotest.test_case "golden codegen digests" `Quick
+            test_codegen_golden;
           Alcotest.test_case "system-level speedup" `Quick
             test_system_level_speedup;
         ] );

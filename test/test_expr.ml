@@ -268,14 +268,14 @@ let test_eval_unbound () =
 let prop_eval_fn_agrees =
   QCheck.Test.make ~name:"eval_fn agrees with eval" ~count:300
     arbitrary_expr_env (fun (e, (a, b, c)) ->
-      let names = [| "x"; "y"; "z" |] in
+      let names = Om_expr.Name_index.of_array [| "x"; "y"; "z" |] in
       let f = Eval.eval_fn names e in
       close (f [| a; b; c |]) (Eval.eval (env_of [| a; b; c |]) e))
 
 let prop_cost_dyn_value_agrees =
   QCheck.Test.make ~name:"cost_dyn value agrees with eval" ~count:300
     arbitrary_expr_env (fun (e, (a, b, c)) ->
-      let names = [| "x"; "y"; "z" |] in
+      let names = Om_expr.Name_index.of_array [| "x"; "y"; "z" |] in
       let f = Om_expr.Cost_dyn.build names e in
       let acc = ref 0. in
       close (f [| a; b; c |] acc) (Eval.eval (env_of [| a; b; c |]) e))
@@ -283,7 +283,7 @@ let prop_cost_dyn_value_agrees =
 let prop_cost_dyn_within_static_bounds =
   QCheck.Test.make ~name:"dynamic cost <= worst-case static cost" ~count:300
     arbitrary_expr_env (fun (e, (a, b, c)) ->
-      let names = [| "x"; "y"; "z" |] in
+      let names = Om_expr.Name_index.of_array [| "x"; "y"; "z" |] in
       let f = Om_expr.Cost_dyn.build names e in
       let acc = ref 0. in
       ignore (f [| a; b; c |] acc);
@@ -456,7 +456,11 @@ let test_vm_stmts () =
     ]
   in
   let private_env_slot s = s >= 2 in
-  let p = Vm.compile_stmts ~private_env_slot ~out_size:2 names stmts in
+  let p =
+    Vm.compile_stmts ~private_env_slot ~out_size:2
+      (Om_expr.Name_index.of_array names)
+      stmts
+  in
   let env = [| 2.; 3.; 0.; 0. |] in
   let out = [| 0.; 0. |] in
   Vm.exec p ~env ~out;

@@ -391,6 +391,22 @@ let test_typecheck_rejects_broken () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected rejection"
 
+let test_typecheck_rejects_state_t () =
+  (* Otherwise well formed: t is both a state and the time variable, so
+     the compiled env (states before time) and the tree interpreter
+     would read different values for it. *)
+  let shadowing =
+    {
+      Fm.name = "shadow";
+      states = [ ("t", 5.); ("x", 0.) ];
+      equations = [ ("t", E.one); ("x", E.var "t") ];
+    }
+  in
+  Alcotest.check_raises "reserved t"
+    (Invalid_argument
+       "Typecheck.check: t is reserved for time and cannot name a state")
+    (fun () -> Tc.check shadowing)
+
 (* ---------- unparser ---------- *)
 
 let normalise src =
@@ -760,6 +776,8 @@ let () =
             test_typecheck_passes_on_flatten_output;
           Alcotest.test_case "rejects broken model" `Quick
             test_typecheck_rejects_broken;
+          Alcotest.test_case "rejects a state named t" `Quick
+            test_typecheck_rejects_state_t;
         ] );
       ( "unparse",
         [
