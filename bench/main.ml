@@ -1384,6 +1384,9 @@ type jac_row = {
   jr_colors : int;
   jr_fd_evals : int;  (** measured RHS evaluations of one fd Jacobian *)
   jr_sparse : float * float * float;  (** jac, assemble+factor, solve [s] *)
+  jr_refactor : float;  (** assemble + replayed refactorisation [s] *)
+  jr_replay_hit : bool;  (** the refactorisation replayed the trace *)
+  jr_replay_bitwise : bool;  (** its solve is bitwise a full factorisation's *)
   jr_dense : (float * float * float) option;  (** None above [dense_cap] *)
 }
 
@@ -1417,9 +1420,11 @@ let write_jacobian_json path rows =
         (Printf.sprintf
            "    { \"states\": %d, \"nnz\": %d, \"colors\": %d, \
             \"fd_evals\": %d, \"sparse_jac_s\": %s, \"sparse_factor_s\": \
-            %s, \"sparse_solve_s\": %s, \"sparse_step_s\": %s, %s }%s\n"
+            %s, \"sparse_refactor_s\": %s, \"replay_hit\": %b, \
+            \"sparse_solve_s\": %s, \"sparse_step_s\": %s, %s }%s\n"
            r.jr_states r.jr_nnz r.jr_colors r.jr_fd_evals (num sj) (num sf)
-           (num ss) (num sparse_step) dense_fields
+           (num r.jr_refactor) r.jr_replay_hit (num ss) (num sparse_step)
+           dense_fields
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ]\n}\n";
@@ -1439,9 +1444,9 @@ let jacobian_run ~sizes ~dense_cap () =
     (now () -. t0, r)
   in
   let alpha = 1.5 and beta = 1e-4 in
-  Printf.printf "%-9s %9s %7s %8s | %11s %11s %11s | %11s %9s\n" "states"
-    "nnz" "colors" "fd evals" "sparse jac" "sp factor" "sp step"
-    "dense step" "speedup";
+  Printf.printf "%-9s %9s %7s %8s | %11s %11s %11s %11s | %11s %9s\n"
+    "states" "nnz" "colors" "fd evals" "sparse jac" "sp factor"
+    "sp refactor" "sp step" "dense step" "speedup";
   let rows =
     List.map
       (fun states ->
@@ -1475,8 +1480,20 @@ let jacobian_run ~sizes ~dense_cap () =
                 (Om_ode.Sparse.newton_matrix ctx.newton))
         in
         let b = Array.init states (fun i -> Float.sin (float_of_int i)) in
-        let sparse_solve_s, _ =
-          time_it (fun () -> Om_ode.Sparse.lu_solve lu b)
+        let sparse_solve_s, x_full = time_it (fun () -> Om_ode.Sparse.lu_solve lu b) in
+        (* The solvers' path: the context's first factorisation records
+           the pivot trace, the next (new values, same pattern) replays
+           it and must solve bitwise like the full factorisation. *)
+        ignore (Om_ode.Jacobian.factor_newton ctx ~alpha ~beta:(2. *. beta));
+        let replays0 = Om_ode.Sparse.refactor_replays ctx.refactor in
+        let sparse_refactor_s, rlu =
+          time_it (fun () -> Om_ode.Jacobian.factor_newton ctx ~alpha ~beta)
+        in
+        let replay_hit = Om_ode.Sparse.refactor_replays ctx.refactor = replays0 + 1 in
+        let replay_bitwise =
+          Array.for_all2
+            (fun p q -> Int64.bits_of_float p = Int64.bits_of_float q)
+            (Om_ode.Sparse.lu_solve rlu b) x_full
         in
         let dense =
           if states > dense_cap then None
@@ -1510,19 +1527,23 @@ let jacobian_run ~sizes ~dense_cap () =
         | Some (dj, df, ds) ->
             let dense_step = dj +. df +. ds in
             Printf.printf
-              "%-9d %9d %7d %8d | %11.2e %11.2e %11.2e | %11.2e %8.1fx\n"
-              states nnz colors fd_evals sj sf sparse_step dense_step
-              (dense_step /. sparse_step)
+              "%-9d %9d %7d %8d | %11.2e %11.2e %11.2e %11.2e | %11.2e %8.1fx\n"
+              states nnz colors fd_evals sj sf sparse_refactor_s sparse_step
+              dense_step (dense_step /. sparse_step)
         | None ->
             Printf.printf
-              "%-9d %9d %7d %8d | %11.2e %11.2e %11.2e | %11s %9s\n" states
-              nnz colors fd_evals sj sf sparse_step "-" "-");
+              "%-9d %9d %7d %8d | %11.2e %11.2e %11.2e %11.2e | %11s %9s\n"
+              states nnz colors fd_evals sj sf sparse_refactor_s sparse_step
+              "-" "-");
         {
           jr_states = states;
           jr_nnz = nnz;
           jr_colors = colors;
           jr_fd_evals = fd_evals;
           jr_sparse = (sj, sf, ss);
+          jr_refactor = sparse_refactor_s;
+          jr_replay_hit = replay_hit;
+          jr_replay_bitwise = replay_bitwise;
           jr_dense = dense;
         })
       sizes
@@ -1544,10 +1565,11 @@ let jacobian () =
        ~sizes:[ 1000; 3162; 10000; 31623; 100000 ]
        ~dense_cap:10000 ())
 
-(* Cheap CI variant: one modest size, dense comparison included, with
-   the structural assertions CI relies on. *)
+(* Cheap CI variant: a modest size with the dense comparison and the
+   benchmark's heat size without it, with the structural and LU-replay
+   assertions CI relies on. *)
 let jacobian_smoke () =
-  let rows = jacobian_run ~sizes:[ 401 ] ~dense_cap:401 () in
+  let rows = jacobian_run ~sizes:[ 401; 3000 ] ~dense_cap:401 () in
   List.iter
     (fun r ->
       if r.jr_colors >= r.jr_states then
@@ -1557,9 +1579,20 @@ let jacobian_smoke () =
       if r.jr_fd_evals <> r.jr_colors + 1 then
         failwith
           (Printf.sprintf "jacobian-smoke: %d fd evals for %d colors"
-             r.jr_fd_evals r.jr_colors))
+             r.jr_fd_evals r.jr_colors);
+      if not r.jr_replay_hit then
+        failwith
+          (Printf.sprintf "jacobian-smoke: no replay on %d states" r.jr_states);
+      if not r.jr_replay_bitwise then
+        failwith
+          (Printf.sprintf
+             "jacobian-smoke: replayed LU solve differs from a full \
+              factorisation's on %d states"
+             r.jr_states))
     rows;
-  Printf.printf "jacobian-smoke: colors < states and fd evals = colors + 1\n"
+  Printf.printf
+    "jacobian-smoke: colors < states, fd evals = colors + 1, and the LU \
+     replay hits and solves bitwise like a full factorisation\n"
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time scaling: each frontend/codegen stage on its own, best of

@@ -17,6 +17,7 @@ type analysis = {
   condensed : Om_graph.Digraph.t;
   nontrivial : int list;
   scc_weights : float array;
+  sparsity : Om_ode.Sparse.pattern;
 }
 
 type result = {
@@ -27,6 +28,29 @@ type result = {
   tasks : Om_sched.Task.t array;
   analysis : analysis;
 }
+
+(* Row i of the Jacobian pattern lists the states equation i reads: the
+   sources of the graph's edges into node i.  Visiting sources in
+   ascending order fills every row already sorted, so this is O(nnz). *)
+let sparsity_of_graph g =
+  let n = Om_graph.Digraph.node_count g in
+  let succ = Array.init n (Om_graph.Digraph.succ g) in
+  let row_ptr = Array.make (n + 1) 0 in
+  Array.iter
+    (List.iter (fun dst -> row_ptr.(dst + 1) <- row_ptr.(dst + 1) + 1))
+    succ;
+  for i = 0 to n - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
+  done;
+  let fill = Array.sub row_ptr 0 n in
+  let col_ind = Array.make row_ptr.(n) 0 in
+  Array.iteri
+    (fun src ->
+      List.iter (fun dst ->
+          col_ind.(fill.(dst)) <- src;
+          fill.(dst) <- fill.(dst) + 1))
+    succ;
+  { Om_ode.Sparse.rows = n; cols = n; row_ptr; col_ind }
 
 let analyse (m : Om_lang.Flat_model.t) =
   let graph = Om_lang.Flat_model.dependency_graph m in
@@ -43,7 +67,8 @@ let analyse (m : Om_lang.Flat_model.t) =
         List.fold_left (fun acc v -> acc +. eq_cost.(v)) 0. members)
       comps.members
   in
-  { graph; comps; condensed; nontrivial; scc_weights }
+  { graph; comps; condensed; nontrivial; scc_weights;
+    sparsity = sparsity_of_graph graph }
 
 (* Process-global invocation counter: the serve-layer model cache
    asserts cache hits skip compilation entirely by watching this. *)

@@ -17,6 +17,12 @@ type analysis = {
   condensed : Om_graph.Digraph.t;  (** reduced acyclic graph of SCCs *)
   nontrivial : int list;  (** SCC ids that are real equation systems *)
   scc_weights : float array;  (** flop cost of each SCC's equations *)
+  sparsity : Om_ode.Sparse.pattern;
+      (** The Jacobian's structural pattern read off [graph]: row [i]
+          holds the states equation [i] reads, so it equals
+          {!Om_ode.Odesys.pattern_of_equations} of the model's
+          equations.  Every runtime system carries it for the sparse
+          stiff path. *)
 }
 
 type result = {

@@ -101,13 +101,6 @@ let solve ?max_retries ?jac_mode ?jac_batch solver sys ~t0 ~tend ~y0 =
          ~tend)
         .trajectory
 
-(* The structural Jacobian pattern of the model, attached to every system
-   the runtime builds: the compiled RHS evaluates the same equations, so
-   the symbolic read sets are its exact sparsity, and the stiff solvers
-   can take the colored-column sparse path under [config.jac_mode]. *)
-let model_sparsity (r : Om_codegen.Pipeline.result) =
-  Om_ode.Odesys.pattern_of_equations r.model.equations
-
 (* The post-round finite guard, armed by [config.guard]: scans the
    derivative vector after every RHS evaluation and raises a typed
    [Nonfinite_output] naming the flattened equation, which the solvers
@@ -164,7 +157,7 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
     let sys =
       Om_ode.Odesys.make
         ~names:(Array.copy compiled.state_names)
-        ~sparsity:(model_sparsity r) ~dim:compiled.dim f
+        ~sparsity:r.analysis.sparsity ~dim:compiled.dim f
     in
     let start = Unix.gettimeofday () in
     let trajectory =
@@ -268,7 +261,7 @@ let execute_real config ~nworkers ~solver ~t0 ~tend
     let sys =
       Om_ode.Odesys.make
         ~names:(Array.copy compiled.state_names)
-        ~sparsity:(model_sparsity r) ~dim:compiled.dim f
+        ~sparsity:r.analysis.sparsity ~dim:compiled.dim f
     in
     let jac_mode, jac_sparsity =
       Om_ode.Jacobian.mode_stats ~jac_mode:config.jac_mode sys
@@ -433,7 +426,7 @@ let execute_simulated ?(config = default_config) ?solver ?(t0 = 0.) ~tend
   in
   let sys =
     Om_ode.Odesys.make ~names:(Array.copy compiled.state_names)
-      ~sparsity:(model_sparsity r) ~dim:compiled.dim f
+      ~sparsity:r.analysis.sparsity ~dim:compiled.dim f
   in
   let y0 = Om_lang.Flat_model.initial_values r.model in
   let solver =

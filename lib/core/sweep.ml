@@ -38,16 +38,17 @@ type compiled = {
 
 type prepared = Promoted of compiled | Legacy of string
 
+(* Promote each (class, param) in turn, flattening after each step so
+   the new state slots of every promotion can be told apart.  Returns
+   the flat model of the last promotion — the promoted AST's own — and
+   the fresh slot names of each promotion. *)
 let promote_all ast params =
-  (* Promote each (class, param) in turn, flattening after each step so
-     the new state slots of every promotion can be told apart. *)
+  let base = Om_lang.Flatten.flatten ast in
   let seen = Hashtbl.create 64 in
-  List.iter
-    (fun (n, _) -> Hashtbl.replace seen n ())
-    (Om_lang.Flatten.flatten ast).Om_lang.Flat_model.states;
-  let ast, rev_slot_names =
+  List.iter (fun (n, _) -> Hashtbl.replace seen n ()) base.states;
+  let _, fm, rev_slot_names =
     List.fold_left
-      (fun (ast, acc) (cls, param) ->
+      (fun (ast, _, acc) (cls, param) ->
         let ast = Om_lang.Override.promote_parameter ast ~cls ~param in
         let fm = Om_lang.Flatten.flatten ast in
         let fresh =
@@ -61,10 +62,10 @@ let promote_all ast params =
             (Om_lang.Override.Structural
                (Printf.sprintf "promoting %s.%s adds no state" cls param));
         List.iter (fun n -> Hashtbl.replace seen n ()) fresh;
-        (ast, fresh :: acc))
-      (ast, []) params
+        (ast, fm, fresh :: acc))
+      (ast, base, []) params
   in
-  (ast, List.rev rev_slot_names)
+  (fm, List.rev rev_slot_names)
 
 let prepare_many ~source params =
   let ast = Om_lang.Parser.parse_model source in
@@ -72,17 +73,17 @@ let prepare_many ~source params =
      structural analysis, so a bad class/parameter name escapes the
      fallback handlers below. *)
   try
-    let ast, slot_names = promote_all ast params in
-    let fm = Om_lang.Flatten.flatten ast in
+    let fm, slot_names = promote_all ast params in
     let result = Om_codegen.Pipeline.compile fm in
+    let names = Om_lang.Flat_model.state_names fm in
+    (* Metrics look states up by name; the system runs the compiled RHS
+       should a caller integrate it. *)
     let sys =
-      Om_ode.Odesys.of_equations ~with_symbolic_jacobian:false
-        fm.Om_lang.Flat_model.equations
+      Om_ode.Odesys.make ~names ~sparsity:result.analysis.sparsity
+        ~dim:(Array.length names)
+        (Om_codegen.Pipeline.rhs_fn result)
     in
-    let index_of =
-      Om_expr.Name_index.find
-        (Om_expr.Name_index.of_array (Om_lang.Flat_model.state_names fm))
-    in
+    let index_of = Om_expr.Name_index.find (Om_expr.Name_index.of_array names) in
     let slot_sets =
       List.map
         (fun names -> Array.of_list (List.map index_of names))

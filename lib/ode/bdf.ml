@@ -1,5 +1,23 @@
-let solve_implicit_stage_with (jplan : Jacobian.plan) (sys : Odesys.t) ~tol
-    ~max_iter ~t_next ~beta_h ~rhs_const ~alpha0 ~y_guess =
+type newton_ws = {
+  plan : Jacobian.plan;
+  fy : float array; (* f(t_next, y) *)
+  g : float array; (* Newton residual *)
+  dy : float array; (* correction *)
+  scale : float array; (* 1 + |y|, the convergence test's weights *)
+}
+
+let newton_ws plan (sys : Odesys.t) =
+  let n = sys.dim in
+  {
+    plan;
+    fy = Array.make n 0.;
+    g = Array.make n 0.;
+    dy = Array.make n 0.;
+    scale = Array.make n 0.;
+  }
+
+let solve_implicit_stage_with ws (sys : Odesys.t) ~tol ~max_iter ~t_next
+    ~beta_h ~rhs_const ~alpha0 y =
   let n = sys.dim in
   (* A structurally/numerically singular Newton matrix can never
      converge, so it joins the Newton taxonomy instead of escaping as a
@@ -14,30 +32,29 @@ let solve_implicit_stage_with (jplan : Jacobian.plan) (sys : Odesys.t) ~tol
      declared band structure the factorisation runs in the band
      (ODEPACK's banded-Jacobian option); with a sparsity pattern the
      Jacobian is evaluated in compressed colored columns and factored
-     by the sparse LU — bitwise the dense results (see {!Sparse}). *)
+     by the sparse LU, replaying the previous step's pivot sequence —
+     bitwise the dense results (see {!Sparse}). *)
   let solve =
-    match jplan with
+    match ws.plan with
     | Jacobian.Sparse_plan ctx -> (
-        Jacobian.sparse_eval_into sys ctx t_next y_guess;
-        Sparse.newton_assemble ctx.newton ~jac:ctx.sj ~alpha:alpha0
-          ~beta:beta_h;
-        match Sparse.lu_factor (Sparse.newton_matrix ctx.newton) with
-        | lu -> Sparse.lu_solve lu
+        Jacobian.sparse_eval_into sys ctx t_next y;
+        match Jacobian.factor_newton ctx ~alpha:alpha0 ~beta:beta_h with
+        | lu -> Sparse.lu_solve_into lu
         | exception Linalg.Singular _ -> singular ())
     | Jacobian.Dense_plan -> (
         let j = Linalg.make n n 0. in
-        Jacobian.eval_into sys t_next y_guess j;
+        Jacobian.eval_into sys t_next y j;
         let m =
           Array.init n (fun i ->
               Array.init n (fun k ->
                   (if i = k then alpha0 else 0.) -. (beta_h *. j.(i).(k))))
         in
         match Linalg.lu_factor m with
-        | lu -> Linalg.lu_solve lu
+        | lu -> fun b x -> Array.blit (Linalg.lu_solve lu b) 0 x 0 n
         | exception Linalg.Singular _ -> singular ())
     | Jacobian.Banded_plan (ml, mu) -> (
         let j = Linalg.make n n 0. in
-        Jacobian.eval_into sys t_next y_guess j;
+        Jacobian.eval_into sys t_next y j;
         let b = Banded.create ~n ~ml ~mu in
         for i = 0 to n - 1 do
           for k = max 0 (i - ml) to min (n - 1) (i + mu) do
@@ -46,39 +63,36 @@ let solve_implicit_stage_with (jplan : Jacobian.plan) (sys : Odesys.t) ~tol
           done
         done;
         match Banded.lu_factor b with
-        | lu -> Banded.lu_solve lu
+        | lu -> fun b x -> Array.blit (Banded.lu_solve lu b) 0 x 0 n
         | exception Linalg.Singular _ -> singular ())
   in
   sys.counters.lu_factorisations <- sys.counters.lu_factorisations + 1;
-  let y = Array.copy y_guess in
-  let fy = Array.make n 0. in
+  let { fy; g; dy; scale; _ } = ws in
   let rec iterate k =
     if k >= max_iter then
       Om_guard.Om_error.(
         error (Newton_failure { time = t_next; iterations = max_iter }));
     Odesys.rhs_into sys t_next y fy;
-    let g =
-      Array.init n (fun i ->
-          (alpha0 *. y.(i)) -. (beta_h *. fy.(i)) -. rhs_const.(i))
-    in
-    let dy = solve g in
+    for i = 0 to n - 1 do
+      g.(i) <- (alpha0 *. y.(i)) -. (beta_h *. fy.(i)) -. rhs_const.(i)
+    done;
+    solve g dy;
     sys.counters.newton_iters <- sys.counters.newton_iters + 1;
     for i = 0 to n - 1 do
-      y.(i) <- y.(i) -. dy.(i)
+      y.(i) <- y.(i) -. dy.(i);
+      scale.(i) <- 1. +. Float.abs y.(i)
     done;
-    let scale =
-      Array.init n (fun i -> 1. +. Float.abs y.(i))
-    in
     if Linalg.wrms_norm dy scale > tol then iterate (k + 1)
   in
-  iterate 0;
-  y
+  iterate 0
 
 let solve_implicit_stage ?banded ?jac_mode (sys : Odesys.t) ~tol ~max_iter
     ~t_next ~beta_h ~rhs_const ~alpha0 ~y_guess =
+  let y = Array.copy y_guess in
   solve_implicit_stage_with
-    (Jacobian.plan ?jac_mode ?banded sys)
-    sys ~tol ~max_iter ~t_next ~beta_h ~rhs_const ~alpha0 ~y_guess
+    (newton_ws (Jacobian.plan ?jac_mode ?banded sys) sys)
+    sys ~tol ~max_iter ~t_next ~beta_h ~rhs_const ~alpha0 y;
+  y
 
 (* alpha0 and history coefficients of fixed-step BDF k:
    alpha0 * y_{n+1} = sum_i coeff_i * y_{n-i} + h * f_{n+1}. *)
@@ -93,8 +107,9 @@ let integrate ?(order = 2) ?(newton_tol = 1e-10) ?(max_newton = 25) ?banded
   if order < 1 || order > 3 then invalid_arg "Bdf.integrate: order in 1..3";
   if h <= 0. then invalid_arg "Bdf.integrate: nonpositive step";
   (* One plan (and one sparse workspace) for the whole integration. *)
-  let jplan = Jacobian.plan ?jac_mode ?banded ?batch:jac_batch sys in
+  let ws = newton_ws (Jacobian.plan ?jac_mode ?banded ?batch:jac_batch sys) sys in
   let n = sys.dim in
+  let rhs_const = Array.make n 0. in
   let ts = ref [ t0 ] and ys = ref [ Array.copy y0 ] in
   (* History of accepted states, most recent first. *)
   let hist = ref [ Array.copy y0 ] in
@@ -105,20 +120,17 @@ let integrate ?(order = 2) ?(newton_tol = 1e-10) ?(max_newton = 25) ?banded
     let k = min order (List.length !hist) in
     let alpha0, coeffs = formula k in
     let harr = Array.of_list !hist in
-    let rhs_const =
-      Array.init n (fun i ->
-          let acc = ref 0. in
-          for j = 0 to k - 1 do
-            acc := !acc +. (coeffs.(j) *. harr.(j).(i))
-          done;
-          !acc)
-    in
+    for i = 0 to n - 1 do
+      let acc = ref 0. in
+      for j = 0 to k - 1 do
+        acc := !acc +. (coeffs.(j) *. harr.(j).(i))
+      done;
+      rhs_const.(i) <- !acc
+    done;
     let t_next = !t +. h' in
-    let y =
-      solve_implicit_stage_with jplan sys ~tol:newton_tol
-        ~max_iter:max_newton ~t_next ~beta_h:h' ~rhs_const ~alpha0
-        ~y_guess:harr.(0)
-    in
+    let y = Array.copy harr.(0) in
+    solve_implicit_stage_with ws sys ~tol:newton_tol ~max_iter:max_newton
+      ~t_next ~beta_h:h' ~rhs_const ~alpha0 y;
     t := t_next;
     sys.counters.steps <- sys.counters.steps + 1;
     ts := !t :: !ts;

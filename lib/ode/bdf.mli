@@ -48,13 +48,21 @@ val solve_implicit_stage :
     Newton; shared with the LSODA-style driver.  With [banded = (ml, mu)]
     the Newton matrix factorises inside the band in O(n (ml+mu)^2) — the
     right choice for method-of-lines PDE systems.  Resolves the Jacobian
-    plan per call; drivers that step repeatedly should resolve once with
-    {!Jacobian.plan} and call {!solve_implicit_stage_with}.
+    plan per call; drivers that step repeatedly should build one
+    {!newton_ws} and call {!solve_implicit_stage_with}.
     @raise Om_guard.Om_error.Error ([Newton_failure]) on non-convergence
     or a singular iteration matrix. *)
 
+type newton_ws
+(** One integration's Newton workspace: the resolved {!Jacobian.plan}
+    (whose sparse context carries the LU refactorisation trace) and the
+    residual, correction, function-value and scale vectors, so a Newton
+    iteration on the sparse path allocates nothing. *)
+
+val newton_ws : Jacobian.plan -> Odesys.t -> newton_ws
+
 val solve_implicit_stage_with :
-  Jacobian.plan ->
+  newton_ws ->
   Odesys.t ->
   tol:float ->
   max_iter:int ->
@@ -62,8 +70,11 @@ val solve_implicit_stage_with :
   beta_h:float ->
   rhs_const:float array ->
   alpha0:float ->
-  y_guess:float array ->
-  float array
-(** {!solve_implicit_stage} against a pre-resolved plan, so the sparse
-    workspace (pattern, coloring, fd buffers) is built once per
-    integration rather than once per step. *)
+  float array ->
+  unit
+(** {!solve_implicit_stage} in place against a pre-resolved workspace:
+    the array holds the guess on entry and the Newton solution on
+    return.  Drivers that step repeatedly build the workspace once per
+    integration, so the sparse workspace is built once and each step's
+    factorisation replays the last pivot sequence.  [rhs_const] must
+    not be the solution array. *)

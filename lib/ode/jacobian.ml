@@ -45,14 +45,13 @@ type sparse_ctx = {
   fd : Sparse.fd_ws;
   f0 : float array;
   newton : Sparse.newton;
+  refactor : Sparse.refactor;
   batch : batch_rhs option;
 }
 
 let sparse_ctx ?batch (sys : Odesys.t) =
-  match sys.sparsity with
-  | None -> None
-  | Some spat ->
-      let coloring = Sparse.color_columns spat in
+  match (sys.sparsity, Odesys.coloring sys) with
+  | Some spat, Some coloring ->
       Some
         {
           spat;
@@ -61,8 +60,14 @@ let sparse_ctx ?batch (sys : Odesys.t) =
           fd = Sparse.make_fd_ws spat coloring;
           f0 = Array.make sys.dim 0.;
           newton = Sparse.make_newton spat;
+          refactor = Sparse.refactor_create ();
           batch;
         }
+  | _ -> None
+
+let factor_newton ctx ~alpha ~beta =
+  Sparse.newton_assemble ctx.newton ~jac:ctx.sj ~alpha ~beta;
+  Sparse.lu_refactor ctx.refactor (Sparse.newton_matrix ctx.newton)
 
 type plan =
   | Dense_plan
@@ -113,9 +118,11 @@ let sparse_eval_into ?eps (sys : Odesys.t) ctx t y =
       Sparse.fd_scatter ctx.fd ~f0:ctx.f0 ~jac:ctx.sj
 
 let mode_stats ?(jac_mode = Odesys.Auto) ?banded (sys : Odesys.t) =
-  let sparse_stats (p : Sparse.pattern) =
-    let c = Sparse.color_columns p in
-    ("sparse", Some (Sparse.nnz p, c.Sparse.ncolors))
+  let sparse_stats p =
+    ( "sparse",
+      Option.map
+        (fun (c : Sparse.coloring) -> (Sparse.nnz p, c.ncolors))
+        (Odesys.coloring sys) )
   in
   match (banded, jac_mode) with
   | Some (ml, mu), _ | None, Odesys.Banded (ml, mu) ->

@@ -36,14 +36,26 @@ type sparse_ctx = {
   fd : Sparse.fd_ws;
   f0 : float array;
   newton : Sparse.newton;
+  refactor : Sparse.refactor;  (** pivot-sequence replay of the LU *)
   batch : batch_rhs option;
 }
 (** Per-integration workspace for the sparse Newton path: pattern,
-    coloring, value storage, colored-fd buffers and the assembled
-    [alpha*I - beta*J] matrix.  Built once by {!plan}. *)
+    coloring, value storage, colored-fd buffers, the assembled
+    [alpha*I - beta*J] matrix and the LU refactorisation trace.  Built
+    once by {!plan}. *)
 
 val sparse_ctx : ?batch:batch_rhs -> Odesys.t -> sparse_ctx option
-(** [None] when the system declares no sparsity pattern. *)
+(** [None] when the system declares no sparsity pattern.  The coloring
+    is the system's own ({!Odesys.coloring}). *)
+
+val factor_newton : sparse_ctx -> alpha:float -> beta:float -> Sparse.lu
+(** Assemble [alpha*I - beta*J] from [ctx.sj] and factor it through the
+    context's {!Sparse.lu_refactor} workspace: every Newton-matrix
+    factorisation of the stiff solvers goes through here, so after the
+    first one each replays the recorded pivot sequence — bitwise the
+    full factorisation.  The result is valid until the next call on the
+    same context.
+    @raise Linalg.Singular when the matrix is singular. *)
 
 (** Resolved Newton-matrix strategy for a whole integration. *)
 type plan =
@@ -86,4 +98,6 @@ val mode_stats :
   string * (int * int) option
 (** {!plan_stats} of the plan {!plan} would resolve, without building
     the sparse workspace — for reporting paths that never factor a
-    matrix themselves. *)
+    matrix themselves.  The color count is the system's
+    {!Odesys.coloring}: the one a plan already computed, or a new one
+    when no plan has run. *)

@@ -18,6 +18,7 @@ type t = {
   symbolic : (string * Om_expr.Expr.t) list option;
   mutable sparsity : Sparse.pattern option;
   mutable sjac : (float -> float array -> float array -> unit) option;
+  mutable coloring_memo : (Sparse.pattern * Sparse.coloring) option;
   counters : counters;
 }
 
@@ -60,8 +61,17 @@ let make ?names ?jac ?sparsity ?sjac ~dim f =
   | Some (p : Sparse.pattern) when p.rows <> dim || p.cols <> dim ->
       invalid_arg "Odesys.make: sparsity shape mismatch"
   | _ -> ());
-  { dim; names; f; jac; symbolic = None; sparsity; sjac;
+  { dim; names; f; jac; symbolic = None; sparsity; sjac; coloring_memo = None;
     counters = fresh_counters () }
+
+let coloring sys =
+  match (sys.sparsity, sys.coloring_memo) with
+  | None, _ -> None
+  | Some p, Some (p', c) when p' == p -> Some c
+  | Some p, _ ->
+      let c = Sparse.color_columns p in
+      sys.coloring_memo <- Some (p, c);
+      Some c
 
 let rhs_into sys t y ydot =
   sys.counters.rhs_calls <- sys.counters.rhs_calls + 1;
@@ -165,7 +175,7 @@ let of_equations ?(time_var = "t") ?(with_symbolic_jacobian = true) eqs =
     end
   in
   { dim; names; f; jac; symbolic = Some eqs; sparsity = Some sparsity; sjac;
-    counters = fresh_counters () }
+    coloring_memo = None; counters = fresh_counters () }
 
 type trajectory = { ts : float array; states : float array array }
 

@@ -46,6 +46,9 @@ type t = {
       (** Optional analytic sparse Jacobian: [sjac t y v] writes the
           values of every structural entry into [v] in the CSR order of
           [sparsity]. *)
+  mutable coloring_memo : (Sparse.pattern * Sparse.coloring) option;
+      (** The coloring {!coloring} last computed, with the pattern it
+          belongs to. *)
   counters : counters;
 }
 
@@ -66,6 +69,11 @@ val make :
   t
 (** @raise Invalid_argument when [names] or [sparsity] shapes disagree
     with [dim]. *)
+
+val coloring : t -> Sparse.coloring option
+(** The distance-2 column coloring of [sparsity] ({!Sparse.color_columns}),
+    computed on first use and kept with the system, so the stiff
+    solvers' sparse plan and the reports after the run share one. *)
 
 val rhs : t -> float -> float array -> float array
 (** Allocating wrapper around [f] that bumps the call counter. *)

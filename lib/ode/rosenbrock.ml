@@ -17,9 +17,7 @@ let make_solver_with (jplan : Jacobian.plan) (sys : Odesys.t) t y h =
       (* The ROS2 matrix is the Newton shape with alpha = 1 and
          beta = gamma*h: the dense path computes [1 - (gamma*h)*J_ii]
          with [gamma *. h] rounded first, so pass the product. *)
-      Sparse.newton_assemble ctx.newton ~jac:ctx.sj ~alpha:1.
-        ~beta:(gamma *. h);
-      Sparse.lu_solve (Sparse.lu_factor (Sparse.newton_matrix ctx.newton))
+      Sparse.lu_solve (Jacobian.factor_newton ctx ~alpha:1. ~beta:(gamma *. h))
   | Jacobian.Dense_plan ->
       let j = Linalg.make n n 0. in
       Jacobian.eval_into sys t y j;

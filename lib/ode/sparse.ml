@@ -1,6 +1,6 @@
 (* Sparse Jacobian support for the stiff Newton path.
 
-   Three pieces, all built around one CSR pattern:
+   Four pieces, all built around one CSR pattern:
 
    - a greedy distance-2 column coloring, so a finite-difference Jacobian
      needs one RHS evaluation per *color* instead of per column
@@ -11,7 +11,10 @@
    - a left-looking (Gilbert–Peierls) sparse LU with partial pivoting
      engineered to reproduce the dense {!Linalg.lu_factor} arithmetic
      operation-for-operation, so switching a solver between the dense
-     and sparse paths leaves trajectories bitwise identical.
+     and sparse paths leaves trajectories bitwise identical;
+   - a refactorisation that replays the last full factorisation's
+     recorded pivot sequence on new values of the same pattern, and
+     falls back to a full factorisation when the pivots would change.
 
    The bitwise claim rests on three facts.  (1) Entries outside the
    pattern are exactly [+0.] in the dense path (structural zeros of the
@@ -22,7 +25,9 @@
    order.  (3) Pivoting tracks the dense row-swap history through a
    position permutation, so the pivot search sees candidates with the
    dense tie-breaking rule (strictly-greater magnitude wins, first
-   position keeps ties). *)
+   position keeps ties).  A replay performs a full factorisation's
+   operations in its order and reruns its pivot rule per column, so it
+   inherits all three. *)
 
 type pattern = {
   rows : int;
@@ -140,7 +145,8 @@ let mat_vec a x =
   done;
   y
 
-(* Transpose structure only: for each column, the rows containing it. *)
+(* Transpose structure: for each column, the rows containing it, and
+   the CSR slot of each of those entries. *)
 let transpose_pattern p =
   let count = Array.make p.cols 0 in
   Array.iter (fun c -> count.(c) <- count.(c) + 1) p.col_ind;
@@ -150,14 +156,16 @@ let transpose_pattern p =
   done;
   let fill = Array.copy col_ptr in
   let row_ind = Array.make (nnz p) 0 in
+  let slot = Array.make (nnz p) 0 in
   for i = 0 to p.rows - 1 do
     for k = p.row_ptr.(i) to p.row_ptr.(i + 1) - 1 do
       let j = p.col_ind.(k) in
       row_ind.(fill.(j)) <- i;
+      slot.(fill.(j)) <- k;
       fill.(j) <- fill.(j) + 1
     done
   done;
-  (col_ptr, row_ind)
+  (col_ptr, row_ind, slot)
 
 (* ------------------------------------------------------------------ *)
 (* Distance-2 column coloring                                          *)
@@ -167,7 +175,7 @@ type coloring = { ncolors : int; color : int array; groups : int array array }
 
 let color_columns p =
   let nc = p.cols in
-  let col_ptr, row_ind = transpose_pattern p in
+  let col_ptr, row_ind, _ = transpose_pattern p in
   let color = Array.make nc (-1) in
   (* forbid.(c) = j marks color c as used by an earlier column sharing a
      row with column j. *)
@@ -279,6 +287,46 @@ type lu = {
   piv : int array; (* original row index at each pivot position *)
 }
 
+(* The symbolic trace of one full factorisation: given the input
+   pattern and the chosen pivot rows, everything a column's numeric work
+   touches is fixed, so a later matrix of the same pattern can replay
+   the arithmetic without the reach DFS, the sort or the CSR build.
+   Per column [j], the spans [*_ptr.(j) .. *_ptr.(j+1) - 1] hold:
+   - [reach_rows]: the rows the column touches (cleared before the
+     scatter);
+   - [up_pos]: the pivotal positions whose L columns update it, in the
+     ascending order the dense elimination applies them — also the U
+     entries of column [j], written to [u_dest];
+   - [l_row]: the original rows of L column [j] in emission order, with
+     their CSR slots [l_dest] and the column-ordered copy [lval] that
+     later columns' updates read;
+   - [cand_row], [cand_pos]: the pivot candidates in search order and
+     their dense positions at step [j];
+   - [diag_row], [diag_in]: the row at dense position [j] before the
+     swap, and whether it is in the reach. *)
+type trace = {
+  tpat : pattern;
+  tlu : lu; (* the value arrays are rewritten by every replay *)
+  col_ptr : int array;
+  row_ind : int array;
+  csr_slot : int array; (* CSR slot of each CSC entry *)
+  reach_ptr : int array;
+  reach_rows : int array;
+  u_cp : int array;
+  up_pos : int array;
+  u_dest : int array;
+  l_cp : int array;
+  l_row : int array;
+  l_dest : int array;
+  lval : float array;
+  cand_ptr : int array;
+  cand_row : int array;
+  cand_pos : int array;
+  diag_row : int array;
+  diag_in : bool array;
+  x : float array; (* dense scatter column, by original row *)
+}
+
 (* Growable scratch arrays for the factor's L/U columns. *)
 type buf = { mutable data : float array; mutable idx : int array; mutable len : int }
 
@@ -297,21 +345,27 @@ let buf_push b i x =
   b.idx.(b.len) <- i;
   b.len <- b.len + 1
 
-let lu_factor (a : t) =
+type ibuf = { mutable a : int array; mutable alen : int }
+
+let ibuf_make n = { a = Array.make (max 16 n) 0; alen = 0 }
+
+let ibuf_push b v =
+  if b.alen = Array.length b.a then begin
+    let a = Array.make (2 * b.alen) 0 in
+    Array.blit b.a 0 a 0 b.alen;
+    b.a <- a
+  end;
+  b.a.(b.alen) <- v;
+  b.alen <- b.alen + 1
+
+let ibuf_contents b = Array.sub b.a 0 b.alen
+
+(* The full factorisation, recording its trace. *)
+let factor_traced (a : t) =
   let p = a.pat in
   if p.rows <> p.cols then invalid_arg "Sparse.lu_factor: not square";
   let n = p.rows in
-  let col_ptr, row_ind = transpose_pattern p in
-  (* Values in CSC order, parallel to row_ind. *)
-  let cvals = Array.make (nnz p) 0. in
-  (let fill = Array.copy col_ptr in
-   for i = 0 to n - 1 do
-     for k = p.row_ptr.(i) to p.row_ptr.(i + 1) - 1 do
-       let j = p.col_ind.(k) in
-       cvals.(fill.(j)) <- a.v.(k);
-       fill.(j) <- fill.(j) + 1
-     done
-   done);
+  let col_ptr, row_ind, csr_slot = transpose_pattern p in
   (* pos.(r): current dense position of original row r; rowat is its
      inverse.  Dense partial pivoting never moves a row once it holds a
      pivot position < j, so "r is pivotal" iff pos.(r) < j. *)
@@ -329,6 +383,10 @@ let lu_factor (a : t) =
   let l_cp = Array.make (n + 1) 0 and u_cp = Array.make (n + 1) 0 in
   let u_diag = Array.make n 0. in
   let piv_ord = Array.make n 0 in
+  let reach_buf = ibuf_make (4 * n) and reach_ptr = Array.make (n + 1) 0 in
+  let cand_row = ibuf_make (4 * n) and cand_pos = ibuf_make (4 * n) in
+  let cand_ptr = Array.make (n + 1) 0 in
+  let diag_row = Array.make n 0 and diag_in = Array.make n false in
   (* Scratch for sorting the pivotal part of the reach set. *)
   let pivotal = Array.make n 0 in
   for j = 0 to n - 1 do
@@ -371,9 +429,13 @@ let lu_factor (a : t) =
         done
       end
     done;
+    for t = 0 to !nreach - 1 do
+      ibuf_push reach_buf reach.(t)
+    done;
+    reach_ptr.(j + 1) <- reach_buf.alen;
     (* Scatter A(:, j). *)
     for t = col_ptr.(j) to col_ptr.(j + 1) - 1 do
-      x.(row_ind.(t)) <- cvals.(t)
+      x.(row_ind.(t)) <- a.v.(csr_slot.(t))
     done;
     (* Apply updates from pivotal reach nodes in ascending pivot order —
        the order the dense right-looking elimination applies them. *)
@@ -401,11 +463,15 @@ let lu_factor (a : t) =
        the winner is the smallest position attaining the maximum, seeded
        by the current diagonal position. *)
     let dr = rowat.(j) in
+    diag_row.(j) <- dr;
+    diag_in.(j) <- mark.(dr) = j;
     let best_row = ref dr in
     let best_val = ref (if mark.(dr) = j then Float.abs x.(dr) else 0.) in
     for t = 0 to !nreach - 1 do
       let r = reach.(t) in
       if pos.(r) > j then begin
+        ibuf_push cand_row r;
+        ibuf_push cand_pos pos.(r);
         let v = Float.abs x.(r) in
         if v > !best_val || (v = !best_val && pos.(r) < pos.(!best_row)) then begin
           best_val := v;
@@ -413,6 +479,7 @@ let lu_factor (a : t) =
         end
       end
     done;
+    cand_ptr.(j + 1) <- cand_row.alen;
     let pr = !best_row in
     let pivot = if mark.(pr) = j then x.(pr) else 0. in
     if pivot = 0. then raise (Linalg.Singular j);
@@ -449,12 +516,14 @@ let lu_factor (a : t) =
     l_rp.(i + 1) <- l_rp.(i) + l_count.(i)
   done;
   let l_ci = Array.make lbuf.len 0 and l_v = Array.make lbuf.len 0. in
+  let l_dest = Array.make lbuf.len 0 in
   let fill = Array.copy l_rp in
   for c = 0 to n - 1 do
     for k = l_cp.(c) to l_cp.(c + 1) - 1 do
       let q = pos.(lbuf.idx.(k)) in
       l_ci.(fill.(q)) <- c;
       l_v.(fill.(q)) <- lbuf.data.(k);
+      l_dest.(k) <- fill.(q);
       fill.(q) <- fill.(q) + 1
     done
   done;
@@ -467,36 +536,158 @@ let lu_factor (a : t) =
     u_rp.(i + 1) <- u_rp.(i) + u_count.(i)
   done;
   let u_ci = Array.make ubuf.len 0 and u_v = Array.make ubuf.len 0. in
+  let u_dest = Array.make ubuf.len 0 in
   let ufill = Array.copy u_rp in
   for c = 0 to n - 1 do
     for k = u_cp.(c) to u_cp.(c + 1) - 1 do
       let q = ubuf.idx.(k) in
       u_ci.(ufill.(q)) <- c;
       u_v.(ufill.(q)) <- ubuf.data.(k);
+      u_dest.(k) <- ufill.(q);
       ufill.(q) <- ufill.(q) + 1
     done
   done;
-  { n; l_rp; l_ci; l_v; u_rp; u_ci; u_v; u_diag; piv = piv_ord }
+  {
+    tpat = p;
+    tlu = { n; l_rp; l_ci; l_v; u_rp; u_ci; u_v; u_diag; piv = piv_ord };
+    col_ptr;
+    row_ind;
+    csr_slot;
+    reach_ptr;
+    reach_rows = ibuf_contents reach_buf;
+    u_cp;
+    up_pos = Array.sub ubuf.idx 0 ubuf.len;
+    u_dest;
+    l_cp;
+    l_row = Array.sub lbuf.idx 0 lbuf.len;
+    l_dest;
+    lval = Array.sub lbuf.data 0 lbuf.len;
+    cand_ptr;
+    cand_row = ibuf_contents cand_row;
+    cand_pos = ibuf_contents cand_pos;
+    diag_row;
+    diag_in;
+    x;
+  }
+
+let lu_factor a = (factor_traced a).tlu
+
+(* Numeric replay of [tr] on new values of its pattern, column by
+   column with the full factorisation's operations in its order.  Each
+   column's pivot search is rerun on the new values; [false] as soon as
+   it would choose another row than the trace (or a zero pivot), leaving
+   the trace's value arrays partly rewritten. *)
+let replay tr (a : t) =
+  let lu = tr.tlu in
+  let x = tr.x and av = a.v and piv = lu.piv in
+  let reach_ptr = tr.reach_ptr and reach_rows = tr.reach_rows in
+  let col_ptr = tr.col_ptr and row_ind = tr.row_ind and csr_slot = tr.csr_slot in
+  let u_cp = tr.u_cp and up_pos = tr.up_pos and u_dest = tr.u_dest in
+  let l_cp = tr.l_cp and l_row = tr.l_row and l_dest = tr.l_dest in
+  let lval = tr.lval and l_v = lu.l_v and u_v = lu.u_v in
+  let cand_ptr = tr.cand_ptr and cand_row = tr.cand_row and cand_pos = tr.cand_pos in
+  let j = ref 0 in
+  let same = ref true in
+  while !same && !j < lu.n do
+    let j' = !j in
+    for t = reach_ptr.(j') to reach_ptr.(j' + 1) - 1 do
+      x.(reach_rows.(t)) <- 0.
+    done;
+    for t = col_ptr.(j') to col_ptr.(j' + 1) - 1 do
+      x.(row_ind.(t)) <- av.(csr_slot.(t))
+    done;
+    for s = u_cp.(j') to u_cp.(j' + 1) - 1 do
+      let pp = up_pos.(s) in
+      let xi = x.(piv.(pp)) in
+      for k = l_cp.(pp) to l_cp.(pp + 1) - 1 do
+        let r = l_row.(k) in
+        x.(r) <- x.(r) -. (lval.(k) *. xi)
+      done
+    done;
+    let dr = tr.diag_row.(j') and din = tr.diag_in.(j') in
+    let best_row = ref dr and best_pos = ref j' in
+    let best_val = ref (if din then Float.abs x.(dr) else 0.) in
+    for c = cand_ptr.(j') to cand_ptr.(j' + 1) - 1 do
+      let r = cand_row.(c) and q = cand_pos.(c) in
+      let v = Float.abs x.(r) in
+      if v > !best_val || (v = !best_val && q < !best_pos) then begin
+        best_val := v;
+        best_row := r;
+        best_pos := q
+      end
+    done;
+    let pr = !best_row in
+    let pivot = if pr = dr && not din then 0. else x.(pr) in
+    if pr <> piv.(j') || pivot = 0. then same := false
+    else begin
+      for s = u_cp.(j') to u_cp.(j' + 1) - 1 do
+        u_v.(u_dest.(s)) <- x.(piv.(up_pos.(s)))
+      done;
+      lu.u_diag.(j') <- pivot;
+      for k = l_cp.(j') to l_cp.(j' + 1) - 1 do
+        let m = x.(l_row.(k)) /. pivot in
+        lval.(k) <- m;
+        l_v.(l_dest.(k)) <- m
+      done;
+      incr j
+    end
+  done;
+  !same
+
+type refactor = {
+  mutable trace : trace option;
+  mutable replays : int;
+  mutable full : int;
+}
+
+let refactor_create () = { trace = None; replays = 0; full = 0 }
+let refactor_replays r = r.replays
+let refactor_full r = r.full
+
+let lu_refactor r (a : t) =
+  match r.trace with
+  | Some tr when (tr.tpat == a.pat || tr.tpat = a.pat) && replay tr a ->
+      r.replays <- r.replays + 1;
+      tr.tlu
+  | _ ->
+      (* No trace yet, another pattern, or the pivot sequence changed:
+         a full factorisation, whose trace the next call replays.  A
+         singular matrix raises here with the dense step index. *)
+      r.full <- r.full + 1;
+      let tr = factor_traced a in
+      r.trace <- Some tr;
+      tr.tlu
 
 let lu_nnz lu = lu.n + Array.length lu.l_v + Array.length lu.u_v
 
-let lu_solve lu b =
+let lu_solve_into lu b x =
   let n = lu.n in
-  if Array.length b <> n then invalid_arg "Sparse.lu_solve: dimension mismatch";
-  let x = Array.init n (fun i -> b.(lu.piv.(i))) in
+  if Array.length b <> n || Array.length x <> n then
+    invalid_arg "Sparse.lu_solve: dimension mismatch";
+  if b == x then invalid_arg "Sparse.lu_solve_into: b and x alias";
+  for i = 0 to n - 1 do
+    x.(i) <- b.(lu.piv.(i))
+  done;
   (* Row-oriented substitutions: each row accumulates in ascending
      column order, exactly like the dense inner loops. *)
   for i = 1 to n - 1 do
+    let acc = ref x.(i) in
     for k = lu.l_rp.(i) to lu.l_rp.(i + 1) - 1 do
-      x.(i) <- x.(i) -. (lu.l_v.(k) *. x.(lu.l_ci.(k)))
-    done
+      acc := !acc -. (lu.l_v.(k) *. x.(lu.l_ci.(k)))
+    done;
+    x.(i) <- !acc
   done;
   for i = n - 1 downto 0 do
+    let acc = ref x.(i) in
     for k = lu.u_rp.(i) to lu.u_rp.(i + 1) - 1 do
-      x.(i) <- x.(i) -. (lu.u_v.(k) *. x.(lu.u_ci.(k)))
+      acc := !acc -. (lu.u_v.(k) *. x.(lu.u_ci.(k)))
     done;
-    x.(i) <- x.(i) /. lu.u_diag.(i)
-  done;
+    x.(i) <- !acc /. lu.u_diag.(i)
+  done
+
+let lu_solve lu b =
+  let x = Array.make lu.n 0. in
+  lu_solve_into lu b x;
   x
 
 (* ------------------------------------------------------------------ *)
@@ -598,26 +789,41 @@ type newton = {
   scatter : int array; (* CSR slot in m for each CSR slot of the J pattern *)
 }
 
+(* M's pattern is J's with the diagonal merged in: each row's columns
+   are already ascending, so the diagonal is inserted in one pass and
+   every J slot learns its M slot on the way. *)
 let make_newton jpat =
   if jpat.rows <> jpat.cols then invalid_arg "Sparse.make_newton: not square";
   let n = jpat.rows in
-  let entries = ref [] in
-  for i = 0 to n - 1 do
-    entries := (i, i) :: !entries;
-    for k = jpat.row_ptr.(i) to jpat.row_ptr.(i + 1) - 1 do
-      entries := (i, jpat.col_ind.(k)) :: !entries
-    done
-  done;
-  let mpat = pattern_of_entries ~rows:n ~cols:n !entries in
-  let m = create mpat in
-  let diag_idx = Array.init n (fun i -> index mpat i i) in
+  let row_ptr = Array.make (n + 1) 0 in
+  let col_ind = Array.make (nnz jpat + n) 0 in
+  let diag_idx = Array.make n 0 in
   let scatter = Array.make (nnz jpat) 0 in
+  let s = ref 0 in
+  let push c =
+    col_ind.(!s) <- c;
+    incr s
+  in
   for i = 0 to n - 1 do
+    let diag = ref false in
     for k = jpat.row_ptr.(i) to jpat.row_ptr.(i + 1) - 1 do
-      scatter.(k) <- index mpat i jpat.col_ind.(k)
-    done
+      let c = jpat.col_ind.(k) in
+      if (not !diag) && c >= i then begin
+        diag := true;
+        diag_idx.(i) <- !s;
+        if c > i then push i
+      end;
+      scatter.(k) <- !s;
+      push c
+    done;
+    if not !diag then begin
+      diag_idx.(i) <- !s;
+      push i
+    end;
+    row_ptr.(i + 1) <- !s
   done;
-  { m; diag_idx; scatter }
+  let mpat = { rows = n; cols = n; row_ptr; col_ind = Array.sub col_ind 0 !s } in
+  { m = create mpat; diag_idx; scatter }
 
 let newton_matrix nw = nw.m
 

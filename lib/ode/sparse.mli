@@ -16,7 +16,9 @@
     rows in the dense loop order — so a solver switched between the
     dense and sparse paths produces bitwise-identical trajectories
     (structural zeros are exact [+0.] in the dense path, making every
-    skipped operation a bitwise no-op). *)
+    skipped operation a bitwise no-op).  Repeated factorisations of one
+    pattern replay the recorded pivot sequence numerically
+    ({!lu_refactor}) and stay bitwise the full factorisation. *)
 
 type pattern = {
   rows : int;
@@ -110,6 +112,54 @@ val lu_factor : t -> lu
 val lu_solve : lu -> float array -> float array
 (** Bitwise-identical to {!Linalg.lu_solve} on the corresponding dense
     factorisation. *)
+
+val lu_solve_into : lu -> float array -> float array -> unit
+(** [lu_solve_into lu b x] writes {!lu_solve}[ lu b] into [x] without
+    allocating.
+    @raise Invalid_argument on a length mismatch or when [b == x]. *)
+
+(** {2 Refactorisation by pivot-sequence replay}
+
+    A stiff solver factors the Newton matrix of one fixed pattern again
+    and again with new values; the pivots it picks rarely change.  A
+    {!refactor} workspace keeps the symbolic trace of its last full
+    factorisation: the transpose of the pattern, and per column its
+    reach set, its pivotal updates in application order, its pivot
+    candidates with their dense positions, the chosen pivot row and the
+    L/U slots its entries land in.  A later matrix of the same pattern
+    is factored by replaying that trace numerically — the same
+    floating-point operations in the same order, without the reach
+    search, the sort or the CSR build.
+
+    Every replayed column reruns the dense partial-pivoting rule
+    (largest magnitude; on a tie the smallest dense position, seeded by
+    the diagonal row) on its new values.  If the rule would pick another
+    row than the trace, or the pivot is exactly zero, the replay stops
+    and a full {!lu_factor} takes over; it records the new trace, or
+    raises [Linalg.Singular] with the dense step index.  A replay is
+    therefore bitwise the full factorisation of the same matrix: the
+    solve results and the [Singular] step agree exactly. *)
+
+type refactor
+
+val refactor_create : unit -> refactor
+(** An empty workspace: its first {!lu_refactor} is a full
+    factorisation. *)
+
+val lu_refactor : refactor -> t -> lu
+(** Factor the matrix: replay the workspace's trace when the matrix has
+    the traced pattern and the pivot sequence holds, else factor in
+    full and keep the new trace.  The result shares its value arrays
+    with the workspace and stays valid until the next [lu_refactor] on
+    it.
+    @raise Linalg.Singular exactly when {!lu_factor} would. *)
+
+val refactor_replays : refactor -> int
+(** Factorisations served by replay so far. *)
+
+val refactor_full : refactor -> int
+(** Full factorisations so far (the first, pattern changes and pivot
+    changes), including those that raised [Singular]. *)
 
 val lu_nnz : lu -> int
 (** Stored entries of L and U including the unit/actual diagonals —

@@ -843,6 +843,63 @@ let test_numeric_jacobian_counts_once () =
   Alcotest.(check int) "jac_calls after numeric" 2
     sys.Odesys.counters.Odesys.jac_calls
 
+(* ---------- golden stiff trajectories ---------- *)
+
+(* The runtime's sequential system for heat_1d n=200: the compiled RHS
+   with the model's structural pattern, colored finite differences for
+   the Jacobian.  The digests below pin every time and state bit of the
+   full LSODA, BDF and Rosenbrock trajectories under jac mode Sparse.
+   Any change to the solvers' arithmetic or its order moves them; the
+   LU replay and the workspace reuse are required not to. *)
+let heat200 = lazy (Om_codegen.Pipeline.compile (Om_pde.Discretize.heat_1d ~n:200 ()))
+
+let heat200_system () =
+  let r = Lazy.force heat200 in
+  let c = r.Om_codegen.Pipeline.compiled in
+  let sys =
+    Odesys.make ~names:(Array.copy c.state_names)
+      ~sparsity:r.analysis.sparsity ~dim:c.dim
+      (Om_codegen.Pipeline.rhs_fn r)
+  in
+  (sys, Om_lang.Flat_model.initial_values r.model)
+
+let trajectory_digest (tr : Odesys.trajectory) =
+  let b = Buffer.create 65536 in
+  let add x = Buffer.add_string b (Printf.sprintf "%Lx\n" (Int64.bits_of_float x)) in
+  Array.iter add tr.ts;
+  Array.iter (Array.iter add) tr.states;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_stiff =
+  [
+    ( "lsoda",
+      "4ba53ea84ea482316e395c4e1f616355",
+      fun sys y0 ->
+        (Lsoda.integrate ~jac_mode:Odesys.Sparse sys ~t0:0. ~y0 ~tend:0.02)
+          .trajectory );
+    ( "bdf",
+      "fafc6fef95c97503f988c7ec038099a4",
+      fun sys y0 ->
+        Bdf.integrate ~jac_mode:Odesys.Sparse sys ~t0:0. ~y0 ~tend:0.01 ~h:1e-3
+    );
+    ( "rosenbrock",
+      "cf7c08a89875de40c6fc619523520b04",
+      fun sys y0 ->
+        Om_ode.Rosenbrock.integrate ~jac_mode:Odesys.Sparse sys ~t0:0. ~y0
+          ~tend:0.01 ~h:1e-3 );
+  ]
+
+let test_golden_stiff_digests () =
+  List.iter
+    (fun (name, want, run) ->
+      let sys, y0 = heat200_system () in
+      let tr = run sys y0 in
+      Alcotest.(check bool) (name ^ ": sparse LU used") true
+        (sys.Odesys.counters.Odesys.lu_factorisations > 0);
+      Alcotest.(check string) (name ^ " trajectory digest") want
+        (trajectory_digest tr))
+    golden_stiff
+
 let () =
   let q = Qcheck_seed.to_alcotest in
   Alcotest.run "om_ode"
@@ -945,6 +1002,8 @@ let () =
             test_sparse_singular_newton_failure;
           Alcotest.test_case "numeric jac_calls counted once" `Quick
             test_numeric_jacobian_counts_once;
+          Alcotest.test_case "golden stiff digests" `Quick
+            test_golden_stiff_digests;
         ] );
       ( "backoff",
         [

@@ -379,6 +379,25 @@ let test_spawn_failure_ladder_to_sequential () =
   Alcotest.(check bool) "states identical" true
     (rep.trajectory.states = clean.trajectory.states)
 
+(* The runtime's Jacobian pattern comes from the compiler's dependency
+   graph; it must be exactly the read-set pattern of the equations. *)
+let test_analysis_sparsity_matches_equations () =
+  let check label (fm : Fm.t) =
+    let a = P.analyse fm in
+    let want = Om_ode.Odesys.pattern_of_equations fm.equations in
+    Alcotest.(check bool) (label ^ ": pattern") true (a.sparsity = want)
+  in
+  check "bearing2d" (Om_models.Bearing2d.model ());
+  check "powerplant" (Om_models.Powerplant.model ());
+  check "bscaled8" (Om_models.Bearing_scaled.model ~n_rollers:8 ());
+  check "heat200" (Om_pde.Discretize.heat_1d ~n:200 ());
+  for seed = 0 to 49 do
+    let rng = Random.State.make [| seed |] in
+    check
+      (Printf.sprintf "fuzz seed %d" seed)
+      (Om_lang.Flatten.flatten (Om_fuzz.Gen.model rng))
+  done
+
 let () =
   Alcotest.run "runtime"
     [
@@ -424,6 +443,11 @@ let () =
         [
           Alcotest.test_case "monotone analytic" `Quick test_sweep_monotone;
           Alcotest.test_case "series" `Quick test_sweep_series;
+        ] );
+      ( "sparsity",
+        [
+          Alcotest.test_case "analysis pattern = equation read sets" `Quick
+            test_analysis_sparsity_matches_equations;
         ] );
       ( "umbrella",
         [

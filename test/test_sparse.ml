@@ -226,6 +226,155 @@ let test_singular_index_parity () =
   Alcotest.(check bool) "dense is singular" true (d_idx >= 0);
   Alcotest.(check int) "same pivot step" d_idx s_idx
 
+(* ---------- refactorisation by pivot-sequence replay ---------- *)
+
+(* Replays and fallbacks seen by [prop_refactor_bitwise]; the property
+   is only meaningful if both happened. *)
+let replay_hits = ref 0
+let replay_fallbacks = ref 0
+
+(* A random matrix followed by new value sets on its pattern: a relative
+   jitter (pivots usually hold, so the replay hits), fresh values (pivots
+   usually move, forcing the fallback), or zeroed entries (singular
+   matrices). *)
+let refactor_gen =
+  QCheck.Gen.(
+    let* pat, v, b = matrix_gen in
+    let nz = S.nnz pat in
+    let value_set =
+      let* kind = int_range 0 2 in
+      match kind with
+      | 0 ->
+          let* jit = array_size (return nz) (float_range 0.9 1.1) in
+          return (`Jitter jit)
+      | 1 ->
+          let* fresh = array_size (return nz) (float_range (-5.) 5.) in
+          return (`Fresh fresh)
+      | _ ->
+          let* keep = array_size (return nz) (int_range 0 3) in
+          return (`Zero keep)
+    in
+    let* sets = list_size (int_range 1 4) value_set in
+    return (pat, v, b, sets))
+
+let arbitrary_refactor =
+  QCheck.make
+    ~print:(fun (p, _, _, sets) ->
+      Printf.sprintf "n=%d nnz=%d sets=%d" p.S.rows (S.nnz p) (List.length sets))
+    refactor_gen
+
+let solve_or_singular factor b =
+  try Ok (S.lu_solve (factor ()) b) with L.Singular k -> Error k
+
+let same_result a c =
+  match (a, c) with
+  | Ok xa, Ok xc -> Array.for_all2 (fun p q -> bits p = bits q) xa xc
+  | Error ka, Error kc -> ka = kc
+  | _ -> false
+
+let prop_refactor_bitwise =
+  QCheck.Test.make
+    ~name:"refactor replay bitwise equals a full lu_factor (incl. Singular)"
+    ~count:400 arbitrary_refactor (fun (pat, v, b, sets) ->
+      let ws = S.refactor_create () in
+      let cur = Array.copy v in
+      let step () =
+        let m = sparse_of (pat, cur) in
+        let r0 = S.refactor_replays ws and f0 = S.refactor_full ws in
+        let got = solve_or_singular (fun () -> S.lu_refactor ws m) b in
+        let want = solve_or_singular (fun () -> S.lu_factor m) b in
+        replay_hits := !replay_hits + (S.refactor_replays ws - r0);
+        if S.refactor_full ws > f0 && f0 > 0 then incr replay_fallbacks;
+        same_result got want
+      in
+      let first = step () in
+      List.fold_left
+        (fun ok set ->
+          (match set with
+          | `Jitter jit -> Array.iteri (fun k x -> cur.(k) <- v.(k) *. x) jit
+          | `Fresh fresh -> Array.blit fresh 0 cur 0 (Array.length fresh)
+          | `Zero keep ->
+              Array.iteri (fun k kp -> cur.(k) <- (if kp = 0 then 0. else v.(k))) keep);
+          step () && ok)
+        first sets)
+
+let test_refactor_exercised () =
+  Alcotest.(check bool) "replays hit" true (!replay_hits > 0);
+  Alcotest.(check bool) "fallbacks fired" true (!replay_fallbacks > 0)
+
+(* A pivot change on a 2x2: the first factorisation pivots on row 1,
+   the new values make row 0 the larger, so the replay must fall back;
+   a rescaled matrix keeps the pivots and replays. *)
+let test_refactor_fallback_and_hit () =
+  let pat = S.pattern_of_entries ~rows:2 ~cols:2 [ (0, 0); (0, 1); (1, 0); (1, 1) ] in
+  let m v = sparse_of (pat, v) in
+  let ws = S.refactor_create () in
+  let b = [| 1.; -2. |] in
+  let check label v =
+    let got = S.lu_solve (S.lu_refactor ws (m v)) b in
+    let want = L.lu_solve (L.lu_factor (S.to_dense (m v))) b in
+    Alcotest.(check bool) label true (Array.for_all2 (fun p q -> bits p = bits q) got want)
+  in
+  check "first" [| 1.; 2.; 3.; 4. |];
+  check "pivot moves" [| 5.; 2.; 3.; 4. |];
+  Alcotest.(check int) "two full factorisations" 2 (S.refactor_full ws);
+  Alcotest.(check int) "no replay yet" 0 (S.refactor_replays ws);
+  check "pivots hold" [| 10.; 4.; 6.; 8. |];
+  Alcotest.(check int) "one replay" 1 (S.refactor_replays ws);
+  (* A zero pivot under replay reports the dense step, like lu_factor. *)
+  let z = m [| 0.; 2.; 0.; 4. |] in
+  let want = try ignore (S.lu_factor z); -1 with L.Singular k -> k in
+  let got = try ignore (S.lu_refactor ws z); -1 with L.Singular k -> k in
+  Alcotest.(check int) "singular step" want got
+
+(* ---------- allocation-free Newton step ---------- *)
+
+(* A tridiagonal linear RHS that allocates nothing itself. *)
+let tridiag_system n =
+  let entries = ref [] in
+  for i = n - 1 downto 0 do
+    if i + 1 < n then entries := (i, i + 1) :: !entries;
+    entries := (i, i) :: !entries;
+    if i > 0 then entries := (i, i - 1) :: !entries
+  done;
+  let pat = S.pattern_of_entries ~rows:n ~cols:n !entries in
+  let f _t y ydot =
+    for i = 0 to n - 1 do
+      let l = if i > 0 then y.(i - 1) else 0. in
+      let r = if i + 1 < n then y.(i + 1) else 0. in
+      ydot.(i) <- 100. *. (l -. (2. *. y.(i)) +. r)
+    done
+  in
+  Odesys.make ~sparsity:pat ~dim:n f
+
+(* Words allocated by one replayed factorisation plus one Newton
+   iteration, after a first stage has recorded the trace. *)
+let newton_words n =
+  let sys = tridiag_system n in
+  let ctx =
+    match Jacobian.plan ~jac_mode:Odesys.Sparse sys with
+    | Jacobian.Sparse_plan c -> c
+    | _ -> Alcotest.fail "sparse plan expected"
+  in
+  let ws = Om_ode.Bdf.newton_ws (Jacobian.Sparse_plan ctx) sys in
+  let y = Array.init n (fun i -> Float.sin (float_of_int i)) in
+  let rhs_const = Array.copy y in
+  let stage () =
+    Om_ode.Bdf.solve_implicit_stage_with ws sys ~tol:infinity ~max_iter:1
+      ~t_next:0.1 ~beta_h:1e-3 ~rhs_const ~alpha0:1.5 y
+  in
+  stage ();
+  let replays = S.refactor_replays ctx.refactor in
+  let minor0, promoted0, major0 = Gc.counters () in
+  stage ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  Alcotest.(check int) "replayed" (replays + 1) (S.refactor_replays ctx.refactor);
+  (minor1 -. minor0) +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+let test_newton_allocation_flat () =
+  let small = newton_words 200 and large = newton_words 2000 in
+  Alcotest.(check (float 0.)) "same words at n=200 and n=2000" small large
+
 (* ---------- Newton assembly ---------- *)
 
 let prop_newton_assemble_bitwise =
@@ -260,6 +409,32 @@ let prop_newton_assemble_bitwise =
           if S.mem (S.newton_matrix nt).S.pat i k then (
             if bits got.(i).(k) <> bits want then ok := false)
           else if got.(i).(k) <> want then ok := false
+        done
+      done;
+      !ok)
+
+(* The merged pattern built straight from the CSR rows, on patterns
+   that miss some diagonal entries (the property above always has a full
+   diagonal): it must be J plus the diagonal, with every J slot and
+   every diagonal slot mapped to the right M slot. *)
+let prop_newton_pattern_merge =
+  QCheck.Test.make ~name:"make_newton merges the diagonal into any pattern"
+    ~count:300 arbitrary_pattern (fun (n, entries) ->
+      let jpat = S.pattern_of_entries ~rows:n ~cols:n entries in
+      let want =
+        S.pattern_of_entries ~rows:n ~cols:n
+          (List.init n (fun i -> (i, i)) @ entries)
+      in
+      let sm = S.create jpat in
+      Array.iteri (fun k _ -> sm.S.v.(k) <- float_of_int (k + 1)) sm.S.v;
+      let nt = S.make_newton jpat in
+      S.newton_assemble nt ~jac:sm ~alpha:2. ~beta:0.5;
+      let m = S.newton_matrix nt in
+      let ok = ref (m.S.pat = want) in
+      for i = 0 to n - 1 do
+        for k = 0 to n - 1 do
+          let expect = (if i = k then 2. else 0.) -. (0.5 *. S.get sm i k) in
+          if S.get m i k <> expect then ok := false
         done
       done;
       !ok)
@@ -341,7 +516,17 @@ let () =
           Alcotest.test_case "singular index parity" `Quick
             test_singular_index_parity;
         ] );
-      ("newton", [ q prop_newton_assemble_bitwise ]);
+      ( "refactor",
+        [
+          q prop_refactor_bitwise;
+          Alcotest.test_case "replay and fallback exercised" `Quick
+            test_refactor_exercised;
+          Alcotest.test_case "fallback on pivot change" `Quick
+            test_refactor_fallback_and_hit;
+          Alcotest.test_case "newton step allocation flat in n" `Quick
+            test_newton_allocation_flat;
+        ] );
+      ("newton", [ q prop_newton_assemble_bitwise; q prop_newton_pattern_merge ]);
       ( "par_jac",
         [
           Alcotest.test_case "parallel batch bitwise" `Quick
