@@ -27,6 +27,7 @@ type t = {
   vm_instrs : int;
   vm_flops : float;
   vm_fused : int;
+  cost_steps_built : unit -> int;
   fresh_scratch : unit -> t;
 }
 
@@ -105,6 +106,36 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
   let env_size = Om_expr.Name_index.size names in
   let slot_of_name = Om_expr.Name_index.find names in
   let out_size = Partition.n_slots plan in
+  (* Each task's Cost_dyn step lists are built by the first
+     [measured_eval] of any instance: only simulated execution measures
+     costs, so most artifacts never pay for them.  Clones share the
+     lists; the lock keeps two domains from building them twice. *)
+  let cost_lock = Mutex.create () in
+  let cost_built = Atomic.make 0 in
+  let cost_steps (block : Cse.block) =
+    let cell = Atomic.make None in
+    fun () ->
+      match Atomic.get cell with
+      | Some steps -> steps
+      | None ->
+          Mutex.protect cost_lock (fun () ->
+              match Atomic.get cell with
+              | Some steps -> steps
+              | None ->
+                  let step e = Om_expr.Cost_dyn.build names e in
+                  let steps =
+                    ( List.map
+                        (fun (b : Cse.binding) ->
+                          (slot_of_name b.name, step b.expr))
+                        block.temps,
+                      List.map
+                        (fun (target, e) -> (slot_of_target target, step e))
+                        block.roots )
+                  in
+                  Atomic.set cell (Some steps);
+                  Atomic.incr cost_built;
+                  steps)
+  in
   (* Pure per-task compile products, shared by every scratch instance:
      register programs (whose instruction streams are immutable) or
      closure step lists (pure functions of the env array they are
@@ -153,20 +184,7 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
           in
           `Closures (temp_steps, root_steps)
     in
-    let temp_msteps =
-      List.map
-        (fun (b : Cse.binding) ->
-          (slot_of_name b.name, Om_expr.Cost_dyn.build names b.expr))
-        block.temps
-    in
-    let root_msteps =
-      List.map
-        (fun (target, e) ->
-          (slot_of_target target, Om_expr.Cost_dyn.build names e))
-        block.roots
-    in
-    ( id, label, code, (temp_msteps, root_msteps), Cse.block_cost block,
-      reads, writes )
+    (id, label, code, cost_steps block, Cse.block_cost block, reads, writes)
   in
   let task_plans = List.map plan_block blocks in
   let epilogue_code =
@@ -198,9 +216,7 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
   let rec instantiate () =
     let env = Array.make env_size 0. in
     let out = Array.make out_size 0. in
-    let build_task
-        (id, label, code, (temp_msteps, root_msteps), static_cost, reads,
-         writes) =
+    let build_task (id, label, code, msteps, static_cost, reads, writes) =
       let program, eval =
         match code with
         | `Vm prog ->
@@ -213,6 +229,7 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
                 List.iter (fun (slot, f) -> out.(slot) <- f env) root_steps )
       in
       let measured_eval () =
+        let temp_msteps, root_msteps = msteps () in
         let acc = ref 0. in
         List.iter (fun (slot, f) -> env.(slot) <- f env acc) temp_msteps;
         List.iter (fun (slot, f) -> out.(slot) <- f env acc) root_msteps;
@@ -255,6 +272,7 @@ let compile ?(scope = Cse_per_task) ?(backend = Exec_vm) ?(optimize = true)
       vm_instrs;
       vm_flops;
       vm_fused;
+      cost_steps_built = (fun () -> Atomic.get cost_built);
       fresh_scratch = instantiate;
     }
   in

@@ -26,7 +26,12 @@ type compiled_task = {
       (** evaluate temps then roots; reads the state environment set by
           {!set_state}, writes into {!out} *)
   measured_eval : unit -> float;
-      (** like [eval] but returns the branch-resolved flop cost *)
+      (** like [eval] but returns the branch-resolved flop cost.  The
+          task's {!Om_expr.Cost_dyn} step lists are built on the first
+          call, by whichever instance of the artifact makes it: once per
+          compiled artifact, under a lock, and shared by every
+          {!clone_scratch} copy.  Artifacts that are never measured
+          (everything but simulated execution) never build them. *)
   static_cost : float;  (** mean-branch estimate, includes temps *)
   reads : int list;
   writes : int list;
@@ -54,6 +59,9 @@ type t = {
           [Exec_closures]) *)
   vm_flops : float;  (** static flop units of the VM code *)
   vm_fused : int;  (** fused instructions after the peephole pass *)
+  cost_steps_built : unit -> int;
+      (** how many tasks have built their measured-cost step lists so
+          far, across the artifact and all its clones *)
   fresh_scratch : unit -> t;
       (** re-instantiate the compiled plans over fresh mutable scratch —
           prefer the {!clone_scratch} wrapper *)

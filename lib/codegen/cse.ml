@@ -68,84 +68,53 @@ let eliminate ?(min_size = 3) ?(min_count = 2) ?(prefix = "cse$") targets =
   in
   (* Pass 2: name the shared subtrees smallest-first, so each definition
      can refer to already-named smaller temps.  Rewriting replaces the
-     outermost named subtrees, rebuilding the spine in operand order. *)
+     outermost named subtrees, rebuilding the spine in operand order, and
+     counts each temp's uses as it emits them. *)
+  let shared = Array.of_list shared in
   let names = Ntbl.create 64 in
-  let defs =
-    List.mapi
-      (fun i n ->
-        let name = prefix ^ string_of_int i in
-        Ntbl.add names n name;
-        (name, n))
-      shared
-  in
+  Array.iteri (fun i n -> Ntbl.add names n i) shared;
+  let name i = prefix ^ string_of_int i in
+  let uses = Array.make (Array.length shared) 0 in
   let rec rewrite n =
     match Ntbl.find_opt names n with
-    | Some name -> E.var name
+    | Some i ->
+        uses.(i) <- uses.(i) + 1;
+        E.var (name i)
     | None -> rewrite_children n
   and rewrite_children n =
     if n.kids = [] then n.sub
     else E.with_children n.sub (List.map rewrite n.kids)
   in
-  let temps =
-    List.map (fun (name, n) -> { name; expr = rewrite_children n }) defs
-  in
+  let defs = Array.map rewrite_children shared in
   let roots = List.map (fun (t, n) -> (t, rewrite n)) trees in
-  (* Pass 3: inline temps used at most once (their single consumer absorbs
-     the definition) — extraction counts occurrences before substitution,
-     so a subtree appearing only inside one bigger shared subtree would
-     otherwise survive as a single-use temporary. *)
-  let uses = Hashtbl.create 64 in
-  let record_uses e =
-    ignore
-      (E.fold
-         (fun () n ->
-           match n with
-           | E.Var v when String.length v >= String.length prefix
-                          && String.sub v 0 (String.length prefix) = prefix ->
-               Hashtbl.replace uses v
-                 (1 + Option.value ~default:0 (Hashtbl.find_opt uses v))
-           | _ -> ())
-         () e)
+  (* Pass 3, one substitution in definition order: a temp used at most
+     once is inlined into its consumer (extraction counts occurrences
+     before substitution, so a subtree appearing only inside one bigger
+     shared subtree would otherwise survive as a single-use temporary),
+     and the kept temps are renumbered densely.  A definition only
+     refers to earlier temps, whose replacements are known by then. *)
+  let replacement = Hashtbl.create 64 in
+  let resolve =
+    subst_exact (function
+      | E.Var v -> Hashtbl.find_opt replacement v
+      | _ -> None)
   in
-  List.iter (fun b -> record_uses b.expr) temps;
-  List.iter (fun (_, e) -> record_uses e) roots;
-  let dropped = ref Smap.empty in
-  let resolve e =
-    subst_exact
-      (function E.Var v -> Smap.find_opt v !dropped | _ -> None)
-      e
-  in
-  let kept =
-    List.filter_map
-      (fun b ->
-        let u = Option.value ~default:0 (Hashtbl.find_opt uses b.name) in
-        let expr = resolve b.expr in
-        if u <= 1 then begin
-          dropped := Smap.add b.name expr !dropped;
-          None
-        end
-        else Some { b with expr })
-      temps
-  in
-  let roots = List.map (fun (t, e) -> (t, resolve e)) roots in
-  (* Renumber the kept temps densely. *)
-  let renaming = Hashtbl.create 64 in
-  List.iteri
-    (fun i b ->
-      Hashtbl.replace renaming b.name (E.var (prefix ^ string_of_int i)))
-    kept;
-  let rn e =
-    subst_exact
-      (function E.Var v -> Hashtbl.find_opt renaming v | _ -> None)
-      e
-  in
-  let temps =
-    List.mapi
-      (fun i b -> { name = prefix ^ string_of_int i; expr = rn b.expr })
-      kept
-  in
-  let roots = List.map (fun (t, e) -> (t, rn e)) roots in
-  { temps; roots }
+  let kept = ref [] and n_kept = ref 0 in
+  Array.iteri
+    (fun i def ->
+      let expr = resolve def in
+      if uses.(i) <= 1 then Hashtbl.replace replacement (name i) expr
+      else begin
+        let kept_name = name !n_kept in
+        incr n_kept;
+        Hashtbl.replace replacement (name i) (E.var kept_name);
+        kept := { name = kept_name; expr } :: !kept
+      end)
+    defs;
+  {
+    temps = List.rev !kept;
+    roots = List.map (fun (t, e) -> (t, resolve e)) roots;
+  }
 
 let temp_count b = List.length b.temps
 

@@ -95,8 +95,8 @@ let partition ?(merge_threshold = 50.) ?(split_threshold = 4000.) assigns =
   Array.iter
     (fun (a : Assignments.t) ->
       let c = Assignments.cost a in
-      match split_terms a.rhs with
-      | terms when c > split_threshold && List.length terms >= 2 ->
+      match if c > split_threshold then split_terms a.rhs else [] with
+      | _ :: _ :: _ as terms ->
           let chunks = chunk_terms (split_threshold /. 2.) terms in
           if List.length chunks = 1 then
             items := (a.state_index, a.rhs, c, a.state) :: !items

@@ -41,23 +41,25 @@ let rank = function
   | If _ -> 6
 
 let rec compare a b =
-  match (a, b) with
-  | Const x, Const y -> Float.compare x y
-  | Var x, Var y -> String.compare x y
-  | Add xs, Add ys | Mul xs, Mul ys -> compare_list xs ys
-  | Pow (x1, y1), Pow (x2, y2) ->
-      let c = compare x1 x2 in
-      if c <> 0 then c else compare y1 y2
-  | Call (f, xs), Call (g, ys) ->
-      let c = Stdlib.compare f g in
-      if c <> 0 then c else compare_list xs ys
-  | If (c1, t1, e1), If (c2, t2, e2) ->
-      let c = compare_cond c1 c2 in
-      if c <> 0 then c
-      else
-        let c = compare t1 t2 in
-        if c <> 0 then c else compare e1 e2
-  | _ -> Int.compare (rank a) (rank b)
+  if a == b then 0
+  else
+    match (a, b) with
+    | Const x, Const y -> Float.compare x y
+    | Var x, Var y -> String.compare x y
+    | Add xs, Add ys | Mul xs, Mul ys -> compare_list xs ys
+    | Pow (x1, y1), Pow (x2, y2) ->
+        let c = compare x1 x2 in
+        if c <> 0 then c else compare y1 y2
+    | Call (f, xs), Call (g, ys) ->
+        let c = Stdlib.compare f g in
+        if c <> 0 then c else compare_list xs ys
+    | If (c1, t1, e1), If (c2, t2, e2) ->
+        let c = compare_cond c1 c2 in
+        if c <> 0 then c
+        else
+          let c = compare t1 t2 in
+          if c <> 0 then c else compare e1 e2
+    | _ -> Int.compare (rank a) (rank b)
 
 and compare_cond c1 c2 =
   let c = compare c1.lhs c2.lhs in
@@ -130,38 +132,142 @@ let eval_pow b n =
   else if n = 0. then 1.
   else Float.pow b n
 
-let rec add terms =
-  let flat =
-    List.concat_map (function Add xs -> xs | e -> [ e ]) terms
+(* [add] and [mul] collect operands in a table keyed by a term's
+   non-constant factors (sums) or a factor's base (products), holding
+   the summed coefficient or exponent, plus the folded constant.
+
+   An n-ary call equals the left fold of binary calls,
+   [add [a; b; c] = add [add [a; b]; c]], bit for bit, but costs one
+   pass: the binary fold would finish each partial sum and split it
+   back into the same table entries.  Finishing then splitting is the
+   identity except in three cases, which the end of each fold step
+   replays exactly ([settle_sum], [settle_prod]):
+   - an entry whose coefficient cancelled to zero is dropped, so a later
+     like term starts a fresh entry;
+   - a product whose constant reached zero is the constant zero;
+   - a rebuilt term or factor that does not split back into its own
+     entry ([sum_round_trips], [prod_round_trips]), such as the sum
+     [x + y] rebuilt from [2*(x + y) - (x + y)], is folded into the
+     result.  Only keys that [sum_key_risky] / [prod_base_risky] flag
+     can do that, and they are rare, so the check costs nothing on
+     ordinary operands.
+   The same folding makes every result a normal form: rebuilding a
+   node from its own children returns an equal node. *)
+type 'k acc = {
+  tbl : ('k, float ref) Hashtbl.t;
+  mutable konst : float;
+  mutable risky : ('k * float ref) list;  (* flagged: check the round trip *)
+  mutable zeroed : ('k * float ref) list;  (* reached 0 during this step *)
+}
+
+let new_acc konst = { tbl = Hashtbl.create 16; konst; risky = []; zeroed = [] }
+
+let reset acc konst =
+  Hashtbl.reset acc.tbl;
+  acc.konst <- konst;
+  acc.risky <- [];
+  acc.zeroed <- []
+
+let bump acc ~risky k n =
+  let r =
+    match Hashtbl.find_opt acc.tbl k with
+    | Some r ->
+        r := !r +. n;
+        r
+    | None ->
+        let r = ref n in
+        Hashtbl.add acc.tbl k r;
+        if risky k then acc.risky <- (k, r) :: acc.risky;
+        r
   in
-  (* Collect like terms keyed by their non-constant factor list. *)
-  let table : (t list, float ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let konst = ref 0. in
-  let record e =
-    let c, fs = coeff_split e in
-    if fs = [] then konst := !konst +. c
-    else
-      match Hashtbl.find_opt table fs with
-      | Some r -> r := !r +. c
-      | None ->
-          Hashtbl.add table fs (ref c);
-          order := fs :: !order
+  if !r = 0. then acc.zeroed <- (k, r) :: acc.zeroed
+
+(* Drop the entries that cancelled during the step just ended. *)
+let drop_zeroed acc =
+  if acc.zeroed <> [] then begin
+    List.iter
+      (fun (k, r) ->
+        if !r = 0. then
+          match Hashtbl.find_opt acc.tbl k with
+          | Some r' when r' == r -> Hashtbl.remove acc.tbl k
+          | _ -> ())
+      acc.zeroed;
+    acc.zeroed <- [];
+    acc.risky <- List.filter (fun (_, r) -> !r <> 0.) acc.risky
+  end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Does any live flagged entry rebuild into something that splits
+   differently? *)
+let irregular acc round_trips =
+  List.exists (fun (k, r) -> !r <> 0. && not (round_trips k !r)) acc.risky
+
+let sum_key_risky = function
+  | [ (Add _ | Mul _ | Const _) ] -> true
+  | fs -> List.exists is_const fs
+
+let rec sum_term c fs =
+  if c = 1. then mul_nocollect fs else mul_nocollect (Const c :: fs)
+
+and sum_round_trips fs c =
+  match sum_term c fs with
+  | Add _ | Const _ -> false
+  | t ->
+      let c', fs' = coeff_split t in
+      same_bits c c' && List.equal ( == ) fs fs'
+
+and record_term acc e =
+  match coeff_split e with
+  | c, [] -> acc.konst <- acc.konst +. c
+  | c, fs -> bump acc ~risky:sum_key_risky fs c
+
+and record_sum acc = function
+  | Add xs -> List.iter (record_term acc) xs
+  | e -> record_term acc e
+
+and finish_sum acc =
+  let terms =
+    Hashtbl.fold
+      (fun fs r l -> if !r = 0. then l else sum_term !r fs :: l)
+      acc.tbl []
   in
-  List.iter record flat;
-  let rebuilt =
-    List.rev !order
-    |> List.filter_map (fun fs ->
-           let c = !(Hashtbl.find table fs) in
-           if c = 0. then None
-           else if c = 1. then Some (mul_nocollect fs)
-           else Some (mul_nocollect (Const c :: fs)))
+  let all =
+    List.sort compare (if acc.konst = 0. then terms else Const acc.konst :: terms)
   in
-  let all = if !konst = 0. then rebuilt else Const !konst :: rebuilt in
-  match List.sort compare all with
+  if irregular acc sum_round_trips then sum_once all
+  else match all with [] -> zero | [ e ] -> e | es -> Add es
+
+(* One step: all operands collected together, as a binary call does. *)
+and sum_once xs =
+  let acc = new_acc 0. in
+  List.iter (record_sum acc) xs;
+  finish_sum acc
+
+and settle_sum acc =
+  drop_zeroed acc;
+  if acc.konst = 0. then acc.konst <- 0.;
+  if irregular acc sum_round_trips then begin
+    let s = finish_sum acc in
+    reset acc 0.;
+    record_sum acc s
+  end
+
+and add = function
   | [] -> zero
-  | [ e ] -> e
-  | es -> Add es
+  | x :: rest ->
+      let acc = new_acc 0. in
+      record_sum acc x;
+      (match rest with
+      | [] -> ()
+      | y :: rest ->
+          record_sum acc y;
+          List.iter
+            (fun z ->
+              settle_sum acc;
+              record_sum acc z)
+            rest);
+      finish_sum acc
 
 (* Rebuild a product from factors already in collected form. *)
 and mul_nocollect = function
@@ -169,40 +275,72 @@ and mul_nocollect = function
   | [ e ] -> e
   | es -> Mul (List.sort compare es)
 
-and mul factors =
-  let flat =
-    List.concat_map (function Mul xs -> xs | e -> [ e ]) factors
-  in
-  let table : (t, float ref) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let konst = ref 1. in
-  let record e =
-    match e with
-    | Const c -> konst := !konst *. c
-    | _ -> (
-        let b, n = power_split e in
-        match Hashtbl.find_opt table b with
-        | Some r -> r := !r +. n
-        | None ->
-            Hashtbl.add table b (ref n);
-            order := b :: !order)
-  in
-  List.iter record flat;
-  if !konst = 0. then zero
+and prod_base_risky = function
+  | Const _ | Mul _ | Pow (_, Const _) -> true
+  | _ -> false
+
+and mul_factor b n = if n = 1. then b else pow b (Const n)
+
+and prod_round_trips b n =
+  match mul_factor b n with
+  | Const _ | Mul _ -> false
+  | f ->
+      let b', n' = power_split f in
+      b' == b && same_bits n n'
+
+and record_factor acc = function
+  | Const c -> acc.konst <- acc.konst *. c
+  | e ->
+      let b, n = power_split e in
+      bump acc ~risky:prod_base_risky b n
+
+and record_prod acc = function
+  | Mul xs -> List.iter (record_factor acc) xs
+  | e -> record_factor acc e
+
+and finish_prod acc =
+  if acc.konst = 0. then zero
   else
-    let rebuilt =
-      List.rev !order
-      |> List.filter_map (fun b ->
-             let n = !(Hashtbl.find table b) in
-             if n = 0. then None
-             else if n = 1. then Some b
-             else Some (pow b (Const n)))
+    let factors =
+      Hashtbl.fold
+        (fun b r l -> if !r = 0. then l else mul_factor b !r :: l)
+        acc.tbl []
     in
-    let all = if !konst = 1. then rebuilt else Const !konst :: rebuilt in
-    match List.sort compare all with
-    | [] -> one
-    | [ e ] -> e
-    | es -> Mul es
+    let all =
+      List.sort compare
+        (if acc.konst = 1. then factors else Const acc.konst :: factors)
+    in
+    if irregular acc prod_round_trips then prod_once all
+    else match all with [] -> one | [ e ] -> e | es -> Mul es
+
+and prod_once xs =
+  let acc = new_acc 1. in
+  List.iter (record_prod acc) xs;
+  finish_prod acc
+
+and settle_prod acc =
+  drop_zeroed acc;
+  if acc.konst = 0. || irregular acc prod_round_trips then begin
+    let p = finish_prod acc in
+    reset acc 1.;
+    record_prod acc p
+  end
+
+and mul = function
+  | [] -> one
+  | x :: rest ->
+      let acc = new_acc 1. in
+      record_prod acc x;
+      (match rest with
+      | [] -> ()
+      | y :: rest ->
+          record_prod acc y;
+          List.iter
+            (fun z ->
+              settle_prod acc;
+              record_prod acc z)
+            rest);
+      finish_prod acc
 
 and pow base expo =
   match (base, expo) with

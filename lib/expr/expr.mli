@@ -50,7 +50,11 @@ type t = private
 and cond = { lhs : t; rel : rel; rhs : t }
 
 val equal : t -> t -> bool
+
 val compare : t -> t -> int
+(** A total structural order; floats compare with [Float.compare].
+    Physically equal arguments compare equal at once, without a walk,
+    so comparing shared subtrees costs O(1). *)
 
 val hash : t -> int
 (** Structural hash, consistent with {!equal}. *)
@@ -74,8 +78,16 @@ val minus_one : t
 val pi : t
 
 val add : t list -> t
+(** The normalised sum.  [add (a :: b :: rest)] equals the left fold
+    [add [add [a; b]; c]; ...] bit for bit, at the cost of one pass over
+    the operands.  Results are normal forms: rebuilding one from its own
+    children ({!map_children} with [Fun.id]) returns an equal tree. *)
+
 val sub : t -> t -> t
+
 val mul : t list -> t
+(** The normalised product; n-ary calls and normal forms as for {!add}. *)
+
 val neg : t -> t
 val div : t -> t -> t
 val pow : t -> t -> t

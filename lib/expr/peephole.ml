@@ -98,6 +98,18 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
         if kc = K_env then f fc.(i)
       end
     in
+    (* One more than the largest env slot any instruction names (the
+       passes only move slot numbers between instructions). *)
+    let env_slots =
+      let m = ref 0 in
+      for i = 0 to n - 1 do
+        let _, ka, kb, kc = field_kinds op.(i) in
+        if ka = K_env then m := max !m (fa.(i) + 1);
+        if kb = K_env then m := max !m (fb.(i) + 1);
+        if kc = K_env then m := max !m (fc.(i) + 1)
+      done;
+      !m
+    in
     let defc = Array.make p.nregs 0 in
     let defi = Array.make p.nregs (-1) in
     let compute_defs () =
@@ -267,22 +279,21 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
         if j >= 0 && op.(j) = op_mov then root fa.(j) else r
       in
       let changed = ref false in
+      (* Point a register field at the root of its copy chain. *)
+      let subst field i =
+        let r = field.(i) in
+        let r' = root r in
+        if r' <> r then begin
+          field.(i) <- r';
+          changed := true
+        end
+      in
       for i = 0 to n - 1 do
         if live.(i) then begin
           let _, ka, kb, kc = field_kinds op.(i) in
-          let subst kind get set =
-            if kind = K_reg then begin
-              let r = get () in
-              let r' = root r in
-              if r' <> r then begin
-                set r';
-                changed := true
-              end
-            end
-          in
-          subst ka (fun () -> fa.(i)) (fun v -> fa.(i) <- v);
-          subst kb (fun () -> fb.(i)) (fun v -> fb.(i) <- v);
-          subst kc (fun () -> fc.(i)) (fun v -> fc.(i) <- v)
+          if ka = K_reg then subst fa i;
+          if kb = K_reg then subst fb i;
+          if kc = K_reg then subst fc i
         end
       done;
       !changed
@@ -404,20 +415,15 @@ let optimize ?(private_env_slot = fun _ -> false) (p : t) =
          fixpoint is the same in any visiting order; walking backwards
          lets a dead consumer free its producers in the same sweep. *)
       let uses = Array.make p.nregs 0 in
-      let env_uses = Hashtbl.create 64 in
-      let bump_env d s =
-        Hashtbl.replace env_uses s
-          (d + Option.value ~default:0 (Hashtbl.find_opt env_uses s))
-      in
+      let env_uses = Array.make env_slots 0 in
+      let bump_env d s = env_uses.(s) <- env_uses.(s) + d in
       for i = 0 to n - 1 do
         if live.(i) then begin
           iter_reg_reads i (fun r -> uses.(r) <- uses.(r) + 1);
           iter_env_reads i (bump_env 1)
         end
       done;
-      let env_read s =
-        Option.value ~default:0 (Hashtbl.find_opt env_uses s) > 0
-      in
+      let env_read s = env_uses.(s) > 0 in
       let changed = ref false in
       let deleted = ref true in
       while !deleted do

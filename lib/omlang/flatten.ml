@@ -95,14 +95,13 @@ let rec elab ctx (e : Ast.sexpr) : E.t =
   match e with
   | Snum x -> E.const x
   | Sneg a -> E.neg (elab ctx a)
-  | Sbin (op, a, b) -> (
+  | Sbin ((Badd | Bsub), _, _) ->
+      E.add (elab_chain ctx (function Ast.Badd | Bsub -> true | _ -> false) e)
+  | Sbin ((Bmul | Bdiv), _, _) ->
+      E.mul (elab_chain ctx (function Ast.Bmul | Bdiv -> true | _ -> false) e)
+  | Sbin (Bpow, a, b) ->
       let a = elab ctx a and b = elab ctx b in
-      match op with
-      | Badd -> E.add [ a; b ]
-      | Bsub -> E.sub a b
-      | Bmul -> E.mul [ a; b ]
-      | Bdiv -> E.div a b
-      | Bpow -> E.pow a b)
+      E.pow a b
   | Scall (f, args) -> (
       let args = List.map (elab ctx) args in
       match E.func_of_name f with
@@ -116,6 +115,29 @@ let rec elab ctx (e : Ast.sexpr) : E.t =
         (E.cond (elab ctx c.sc_lhs) c.sc_rel (elab ctx c.sc_rhs))
         (elab ctx a) (elab ctx b)
   | Sname n -> elab_name ctx n
+
+(* The operands of a left-nested chain of one precedence level,
+   [((a + b) - c) + ...] or [((a * b) / c) * ...], elaborated left to
+   right: [- c] contributes [E.neg c] and [/ c] contributes [c^-1].  One
+   n-ary [E.add] / [E.mul] call over them equals elaborating the chain
+   one pair at a time, without re-collecting every partial result. *)
+and elab_chain ctx in_chain e =
+  let rec spine e rights =
+    match e with
+    | Ast.Sbin (op, a, b) when in_chain op -> spine a ((op, b) :: rights)
+    | _ -> (e, rights)
+  in
+  let leftmost, rights = spine e [] in
+  let first = elab ctx leftmost in
+  first
+  :: List.map
+       (fun ((op : Ast.binop), b) ->
+         let b = elab ctx b in
+         match op with
+         | Bsub -> E.neg b
+         | Bdiv -> E.pow b E.minus_one
+         | Badd | Bmul | Bpow -> b)
+       rights
 
 and seg_string ctx ({ base; index } : Ast.segment) =
   match index with
@@ -223,6 +245,30 @@ let rec instantiate classes acc ~prefix ~cls_name ~bindings =
           acc.eqs <- (qualified prefix n, rhs) :: acc.eqs)
     members
 
+(* Substitute resolved definitions into an elaborated expression.  A
+   node none of whose children changed is returned as it is, so shared
+   subtrees stay shared: every elaborated node is a smart-constructor
+   normal form, which rebuilding would only reproduce. *)
+let rec subst_defs resolved (e : E.t) =
+  let s = subst_defs resolved in
+  let list xs =
+    let xs' = List.map s xs in
+    if List.for_all2 ( == ) xs xs' then None else Some xs'
+  in
+  match e with
+  | Const _ -> e
+  | Var v -> ( match Smap.find_opt v resolved with Some e' -> e' | None -> e)
+  | Add xs -> ( match list xs with None -> e | Some xs -> E.add xs)
+  | Mul xs -> ( match list xs with None -> e | Some xs -> E.mul xs)
+  | Call (f, xs) -> ( match list xs with None -> e | Some xs -> E.call f xs)
+  | Pow (a, b) ->
+      let a' = s a and b' = s b in
+      if a' == a && b' == b then e else E.pow a' b'
+  | If (c, t, f) ->
+      let l = s c.lhs and r = s c.rhs and t' = s t and f' = s f in
+      if l == c.lhs && r == c.rhs && t' == t && f' == f then e
+      else E.if_ (E.cond l c.rel r) t' f'
+
 (* Substitute parameters and aliases into each other in dependency order,
    then into every equation and initial value. *)
 let eliminate_defs defs =
@@ -261,7 +307,7 @@ let eliminate_defs defs =
   List.fold_left
     (fun resolved id ->
       let n = by_id.(id) in
-      Smap.add n (Om_expr.Subst.apply_map resolved (def_of n)) resolved)
+      Smap.add n (subst_defs resolved (def_of n)) resolved)
     Smap.empty order
 
 let flatten (model : Ast.model) : Flat_model.t =
@@ -338,7 +384,7 @@ let flatten (model : Ast.model) : Flat_model.t =
       if not (Hashtbl.mem is_state s) then
         err "equation for %s, which is not a state variable" s)
     eqs;
-  let subst e = Om_expr.Subst.apply_map resolved e in
+  let subst = subst_defs resolved in
   let final_eqs =
     List.map
       (fun s ->

@@ -321,6 +321,37 @@ let test_bytecode_conditional_costs_vary () =
   let cheap = bc.tasks.(0).measured_eval () in
   Alcotest.(check bool) "taken branch matters" true (expensive > cheap)
 
+(* Two clones of one artifact measure their costs from two domains at
+   once, before anything has built the step lists: both must agree with
+   a sequential measurement, and each task's lists are built once. *)
+let test_bytecode_measured_eval_concurrent () =
+  let m = Om_lang.Flatten.flatten_string (Om_models.Bearing2d.source ()) in
+  let plan = Part.partition (A.of_flat_model m) in
+  let bc = Bc.compile plan ~state_names:(Fm.state_names m) in
+  let n = Array.length bc.tasks in
+  Alcotest.(check int) "nothing built at compile" 0 (bc.cost_steps_built ());
+  let y0 = Fm.initial_values m in
+  let measure c =
+    c.Bc.set_state 0.5 y0;
+    Array.map (fun (t : Bc.compiled_task) -> t.measured_eval ()) c.tasks
+  in
+  let a = Bc.clone_scratch bc and b = Bc.clone_scratch bc in
+  let ready = Atomic.make 0 in
+  let run c () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    measure c
+  in
+  let da = Domain.spawn (run a) and db = Domain.spawn (run b) in
+  let ra = Domain.join da and rb = Domain.join db in
+  let seq = measure (Bc.clone_scratch bc) in
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check (array int64)) "domain A = sequential" (bits seq) (bits ra);
+  Alcotest.(check (array int64)) "domain B = sequential" (bits seq) (bits rb);
+  Alcotest.(check int) "each task's lists built once" n (bc.cost_steps_built ())
+
 (* ---------- fortran backend ---------- *)
 
 let gen_fortran mode src =
@@ -802,6 +833,8 @@ let () =
           Alcotest.test_case "backends agree" `Quick
             test_bytecode_backends_agree;
           Alcotest.test_case "measured eval" `Quick test_bytecode_measured_eval;
+          Alcotest.test_case "measured eval from two domains" `Quick
+            test_bytecode_measured_eval_concurrent;
           Alcotest.test_case "conditional costs" `Quick
             test_bytecode_conditional_costs_vary;
         ] );

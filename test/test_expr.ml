@@ -614,6 +614,119 @@ let prop_compare_total_order =
     (QCheck.pair arbitrary_expr arbitrary_expr) (fun (a, b) ->
       Int.compare (E.compare a b) 0 = -Int.compare (E.compare b a) 0)
 
+(* ---------- n-ary smart constructors ---------- *)
+
+(* Bitwise structural equality: constants compare by their Int64 bits,
+   so -0.0 differs from 0.0 and NaN payloads count. *)
+let rec bits_equal a b =
+  let all2 xs ys =
+    List.length xs = List.length ys && List.for_all2 bits_equal xs ys
+  in
+  match (a, b) with
+  | E.Const p, E.Const q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q)
+  | E.Var v, E.Var w -> String.equal v w
+  | E.Add xs, E.Add ys | E.Mul xs, E.Mul ys -> all2 xs ys
+  | E.Pow (b1, e1), E.Pow (b2, e2) -> bits_equal b1 b2 && bits_equal e1 e2
+  | E.Call (f, xs), E.Call (g, ys) -> f = g && all2 xs ys
+  | E.If (c1, t1, e1), E.If (c2, t2, e2) ->
+      c1.rel = c2.rel && all2 [ c1.lhs; c1.rhs; t1; e1 ] [ c2.lhs; c2.rhs; t2; e2 ]
+  | _ -> false
+
+(* Operands drawn from a small pool, so that like terms collide and
+   cancel, constants fold (including to zero and to infinity) and powers
+   of one base sum to 0 or 1.  [bases] decides which subexpressions
+   appear as coefficients' cofactors and as power bases: the compound
+   pool adds sums and products, whose rebuilt terms and factors must be
+   flattened back into the enclosing sum or product. *)
+let operand_gen ?(coefs = [ 0.; 1.; -1.; 2.; -2.; 0.5; 3.; 0.1; -0.3; 1e300; -1e300 ])
+    bases =
+  QCheck.Gen.(
+    let base = oneofl bases in
+    let coef = oneofl coefs in
+    let expo = oneofl [ -2.; -1.; -0.5; 0.5; 1.; 2.; 3. ] in
+    frequency
+      [
+        (2, map E.const coef);
+        (3, base);
+        (3, map2 (fun c b -> E.mul [ E.const c; b ]) coef base);
+        (3, map2 (fun b n -> E.pow b (E.const n)) base expo);
+        (2, map3 (fun c a b -> E.mul [ E.const c; a; b ]) coef base base);
+        (1, map2 (fun a b -> E.add [ a; b ]) base base);
+        (1, map (fun b -> E.neg b) base);
+      ])
+
+let atom_bases = [ x; y; E.sin z ]
+
+let compound_bases = [ x; E.add [ x; y ]; E.mul [ x; y ] ]
+
+let arbitrary_operands ?coefs bases =
+  QCheck.make
+    ~print:(fun xs -> String.concat " ; " (List.map (Fmt.to_to_string E.pp) xs))
+    QCheck.Gen.(list_size (int_range 2 7) (operand_gen ?coefs bases))
+
+let left_fold op = function
+  | [] -> invalid_arg "left_fold"
+  | e :: es -> List.fold_left (fun acc e' -> op [ acc; e' ]) e es
+
+let prop_nary_is_left_fold ~name ?coefs bases =
+  QCheck.Test.make ~name ~count:2000 (arbitrary_operands ?coefs bases) (fun xs ->
+      bits_equal (E.add xs) (left_fold E.add xs)
+      && bits_equal (E.mul xs) (left_fold E.mul xs))
+
+(* Smart-built trees of n-ary sums and products over the compound pool. *)
+let nary_expr_gen =
+  QCheck.Gen.(
+    sized_size (int_bound 3) @@ fix (fun self n ->
+        if n <= 0 then operand_gen compound_bases
+        else
+          frequency
+            [
+              (1, operand_gen compound_bases);
+              (2, map E.add (list_size (int_range 2 5) (self (n - 1))));
+              (2, map E.mul (list_size (int_range 2 5) (self (n - 1))));
+              (1, map2 (fun a n -> E.pow a (E.const n)) (self (n - 1)) (oneofl [ -1.; 2. ]));
+              (1, map E.sin (self (n - 1)));
+              ( 1,
+                map3
+                  (fun a b c -> E.if_ (E.cond a E.Lt b) c (E.neg c))
+                  (self (n - 1)) (self (n - 1)) (self (n - 1)) );
+            ]))
+
+let prop_map_children_identity =
+  QCheck.Test.make ~name:"map_children Fun.id is the identity on smart-built trees"
+    ~count:2000
+    (QCheck.make ~print:(Fmt.to_to_string E.pp)
+       QCheck.Gen.(oneof [ expr_gen; nary_expr_gen ]))
+    (fun e ->
+      let rec ok e =
+        bits_equal (E.map_children Fun.id e) e && List.for_all ok (E.children e)
+      in
+      ok e)
+
+let test_nary_compound_cases () =
+  (* A coefficient-1 sum rebuilt from 2(x+y) - (x+y) joins the outer sum
+     instead of nesting, whichever side it lands on. *)
+  let s = E.add [ x; y ] in
+  let twice = E.mul [ E.two; s ] and minus = E.neg s in
+  let want = E.add [ x; y; z ] in
+  List.iter
+    (fun xs ->
+      Alcotest.(check bool) "flattened sum" true (bits_equal want (E.add xs));
+      Alcotest.(check bool) "same as the fold" true
+        (bits_equal (E.add xs) (left_fold E.add xs)))
+    [ [ twice; minus; z ]; [ z; twice; minus ]; [ twice; z; minus ] ];
+  (* (xy)^2 / (xy) * z is the product xyz. *)
+  let p = E.mul [ x; y ] in
+  let xs = [ E.pow p E.two; E.pow p E.minus_one; z ] in
+  Alcotest.(check bool) "flattened product" true
+    (bits_equal (E.mul [ x; y; z ]) (E.mul xs))
+
+let test_compare_physical () =
+  let e = E.add [ E.sin x; E.mul [ E.const Float.nan; y ] ] in
+  Alcotest.(check int) "reflexive, NaN included" 0 (E.compare e e);
+  Alcotest.(check int) "same as a copy" 0
+    (E.compare e (E.add [ E.sin x; E.mul [ E.const Float.nan; y ] ]))
+
 let () =
   let q = Qcheck_seed.to_alcotest in
   Alcotest.run "om_expr"
@@ -695,5 +808,17 @@ let () =
           q prop_prefix_roundtrip_annotated;
         ] );
       ( "order",
-        [ q prop_hash_consistent; q prop_compare_total_order ] );
+        [
+          q prop_hash_consistent;
+          q prop_compare_total_order;
+          Alcotest.test_case "physical equality" `Quick test_compare_physical;
+        ] );
+      ( "nary",
+        [
+          q (prop_nary_is_left_fold ~name:"n-ary add/mul equal the left fold (atom bases)" atom_bases);
+          q (prop_nary_is_left_fold ~name:"n-ary add/mul equal the left fold (compound bases)"
+               ~coefs:[ 2.; -1.; 0.5; 1.; 3.; -2. ] compound_bases);
+          q prop_map_children_identity;
+          Alcotest.test_case "compound terms flatten" `Quick test_nary_compound_cases;
+        ] );
     ]

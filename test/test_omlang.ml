@@ -700,6 +700,85 @@ let test_flatten_solves () =
   Alcotest.(check (float 1e-4)) "exp(-1)" (Float.exp (-1.))
     (Om_ode.Odesys.final_state tr).(0)
 
+(* ---------- golden flat models ---------- *)
+
+(* A digest of a flat model's exact structure: every node's shape, every
+   name, and the Int64 bits of every constant and initial value.  Any
+   change to elaboration, substitution or the smart constructors' normal
+   form changes it; update the pins only for a deliberate change. *)
+let flat_digest (m : Fm.t) =
+  let b = Buffer.create 4096 in
+  let bits x = Buffer.add_string b (Int64.to_string (Int64.bits_of_float x)) in
+  let rec go (e : E.t) =
+    match e with
+    | Const x -> Buffer.add_char b 'k'; bits x
+    | Var v -> Buffer.add_string b ("v" ^ v)
+    | Add xs -> node "+" xs
+    | Mul xs -> node "*" xs
+    | Pow (a, c) -> node "^" [ a; c ]
+    | Call (f, xs) -> node (E.func_name f) xs
+    | If (c, t, e) ->
+        Buffer.add_string b (E.rel_name c.rel);
+        node "?" [ c.lhs; c.rhs; t; e ]
+  and node tag xs =
+    Buffer.add_string b ("(" ^ tag);
+    List.iter (fun x -> Buffer.add_char b ' '; go x) xs;
+    Buffer.add_char b ')'
+  in
+  Buffer.add_string b m.name;
+  List.iter (fun (s, x) -> Buffer.add_string b (";" ^ s ^ "="); bits x) m.states;
+  List.iter (fun (s, e) -> Buffer.add_string b (";" ^ s ^ "'="); go e) m.equations;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_flat_models () =
+  let pin label want src =
+    Alcotest.(check string) label want (flat_digest (flat src))
+  in
+  pin "bearing2d" "bcd546b747f63c0426f0421822d2cace" (Om_models.Bearing2d.source ());
+  pin "powerplant" "6cbebe704b049a55d7f645afdf028e3f" (Om_models.Powerplant.source ());
+  pin "servo" "04bf4ec70e4e5a5e28b5367a9a55c5cc" (Om_models.Servo.source ());
+  pin "bscaled8" "e7857b7044634cc85db27a348340c36b" (Om_models.Bearing_scaled.source ~n_rollers:8 ());
+  let fuzz =
+    List.init 50 (fun i ->
+        flat_digest
+          (Flatten.flatten (Om_fuzz.Gen.model (Random.State.make [| i + 1 |]))))
+  in
+  Alcotest.(check string) "fuzz seeds 1-50" "6be19164e019490c1bec719e7236cdae"
+    (Digest.to_hex (Digest.string (String.concat "," fuzz)))
+
+(* Operands of a chain are elaborated left to right: of two bad names in
+   one sum, the leftmost is the one reported. *)
+let test_error_order () =
+  match
+    flat
+      {|model M; class P variable y; equation der(y) = 0.0; end;
+        class C part p : P; part q : P; variable x;
+        equation der(x) = x + q - p * 2.0 + x; end; instance c of C;|}
+  with
+  | exception Flatten.Error msg ->
+      Alcotest.(check string) "leftmost bad name"
+        "class C, equation der x: part q used as a value" msg
+  | _ -> Alcotest.fail "expected an error"
+
+(* Flatten's allocation grows linearly with the length of an operator
+   chain: doubling the bearing profile series (40 -> 80 terms per
+   roller) must at most double the minor words.  Elaborating the chain
+   one pair at a time re-sorts the whole partial sum at every step, which
+   measured 2.58x.  Minor-word counts are deterministic. *)
+let test_flatten_alloc_linear () =
+  let words profile_order =
+    let ast =
+      Parser.parse_model
+        (Om_models.Bearing2d.generate ~model_name:"B" ~n_rollers:10 ~profile_order)
+    in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Flatten.flatten ast));
+    Gc.minor_words () -. before
+  in
+  let ratio = words 80 /. words 40 in
+  if ratio > 2.0 then
+    Alcotest.failf "profile order 40 -> 80 allocates %.2fx (limit 2.0x)" ratio
+
 let () =
   Alcotest.run "om_lang"
     [
@@ -731,6 +810,10 @@ let () =
           Alcotest.test_case "alias chain" `Quick test_flatten_alias_chain;
           Alcotest.test_case "alias cycle" `Quick test_flatten_alias_cycle;
           Alcotest.test_case "time" `Quick test_flatten_time;
+          Alcotest.test_case "golden flat models" `Quick test_golden_flat_models;
+          Alcotest.test_case "error order" `Quick test_error_order;
+          Alcotest.test_case "allocation linear in chain length" `Quick
+            test_flatten_alloc_linear;
         ] );
       ( "inheritance",
         [
