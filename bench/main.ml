@@ -724,7 +724,7 @@ let micro_pairs =
   [
     ("vm-eval", "objectmath/vmstack-roller-eq", "objectmath/vm-roller-eq");
     ( "bearing-rhs",
-      "objectmath/bearing-rhs-closures",
+      "objectmath/bearing-rhs-per-task",
       "objectmath/bearing-rhs-bytecode" );
     ("simplify", "objectmath/simplify-roller-eq", "objectmath/simplify-roller-eq");
     ("cse", "objectmath/cse-servo", "objectmath/cse-servo");
@@ -795,10 +795,11 @@ let micro () =
   let vmstack_prog = Om_expr.Vm_stack.compile names heavy_eq in
   let y0 = Fm.initial_values r.model in
   let ydot = Array.make (Fm.dim r.model) 0. in
-  (* The seed's execution engine, as the before side of the RHS pair. *)
-  let bc_closures =
-    Om_codegen.Bytecode_backend.compile
-      ~backend:Om_codegen.Bytecode_backend.Exec_closures r.plan ~state_names
+  (* The parallel code run on one domain, as the before side of the RHS
+     pair: every subexpression two tasks share is computed twice. *)
+  let per_task_rhs =
+    Om_codegen.Bytecode_backend.rhs_fn_per_task
+      (Om_codegen.Bytecode_backend.clone_scratch r.compiled)
   in
   let lu_mat =
     Array.init 20 (fun i ->
@@ -839,9 +840,8 @@ let micro () =
           (Staged.stage (fun () -> Om_ode.Linalg.lu_factor lu_mat));
         Test.make ~name:"bearing-rhs-bytecode"
           (Staged.stage (fun () -> P.rhs_fn r 0. y0 ydot));
-        Test.make ~name:"bearing-rhs-closures"
-          (Staged.stage (fun () ->
-               Om_codegen.Bytecode_backend.rhs_fn bc_closures 0. y0 ydot));
+        Test.make ~name:"bearing-rhs-per-task"
+          (Staged.stage (fun () -> per_task_rhs 0. y0 ydot));
         Test.make ~name:"bearing-rhs-guarded"
           (Staged.stage (fun () ->
                P.rhs_fn r 0. y0 ydot;
@@ -1597,9 +1597,12 @@ let jacobian_smoke () =
 (* ------------------------------------------------------------------ *)
 (* Compile-time scaling: each frontend/codegen stage on its own, best of
    5 runs in process CPU time, with the minor words one run allocates
-   (deterministic), and the backend split into the work it does per task
-   (CSE, lowering with peephole) plus the dynamic-cost closures it now
-   builds only on a first [measured_eval]. *)
+   (deterministic).  The backend is split into the work it does at
+   compile time — numbering every root tree once and running the
+   per-task CSE over it, the serial (global) CSE over the same
+   numbering, and lowering the serial program — plus the work it
+   defers: lowering the per-task programs (first parallel run) and the
+   dynamic-cost closures (first [measured_eval]). *)
 
 let compile_stages () =
   section
@@ -1634,41 +1637,61 @@ let compile_stages () =
     let backend, _ =
       best (fun () -> Om_codegen.Bytecode_backend.compile plan ~state_names)
     in
-    (* The backend's per-task work, through the same public calls. *)
+    (* The backend's stages, through the same public calls. *)
     let tasks = Array.to_list plan.tasks in
-    let cse, blocks =
-      best (fun () ->
-          List.map
-            (fun (tk : Om_codegen.Partition.task) ->
-              Cse.eliminate
-                ~prefix:(Printf.sprintf "cse$%d$" tk.tid)
-                (List.map
-                   (fun (s, e) -> (Printf.sprintf "slot$%d" s, e))
-                   tk.roots))
-            tasks)
+    let targets (tk : Om_codegen.Partition.task) =
+      List.map (fun (s, e) -> (Printf.sprintf "slot$%d" s, e)) tk.roots
     in
-    let temps = List.concat_map (fun (b : Cse.block) -> b.temps) blocks in
-    let index =
+    let cse, (numbered, blocks) =
+      best (fun () ->
+          let nb = Cse.numbering () in
+          let numbered = List.map (fun tk -> Cse.number nb (targets tk)) tasks in
+          ( numbered,
+            List.map2
+              (fun (tk : Om_codegen.Partition.task) n ->
+                Cse.eliminate_numbered
+                  ~prefix:(Printf.sprintf "cse$%d$" tk.tid)
+                  [ n ])
+              tasks numbered ))
+    in
+    let serial_cse, serial =
+      best (fun () -> Cse.eliminate_numbered ~prefix:"cse$g$" numbered)
+    in
+    let layout (blocks : Cse.block list) =
       Ni.of_array
         (Array.concat
-           [ state_names; [| "t" |];
-             Array.of_list (List.map (fun (t : Cse.binding) -> t.name) temps) ])
+           ([ state_names; [| "t" |] ]
+           @ List.map
+               (fun (b : Cse.block) ->
+                 Array.of_list (List.map (fun (t : Cse.binding) -> t.name) b.temps))
+               blocks))
     in
     let out_size = Om_codegen.Partition.n_slots plan in
-    let lower, _ =
-      best (fun () ->
-          List.map2
-            (fun (tk : Om_codegen.Partition.task) (b : Cse.block) ->
-              Om_expr.Vm.compile_stmts ~out_size index
-                (List.map
-                   (fun (t : Cse.binding) ->
-                     (t.expr, Om_expr.Vm.To_env (Ni.find index t.name)))
-                   b.temps
-                @ List.map2
-                    (fun (s, _) (_, e) -> (e, Om_expr.Vm.To_out s))
-                    tk.roots b.roots))
-            tasks blocks)
+    let lower_block ?hold_private index (b : Cse.block) =
+      let priv = Array.make (Ni.size index) false in
+      List.iter (fun (t : Cse.binding) -> priv.(Ni.find index t.name) <- true) b.temps;
+      Om_expr.Vm.compile_stmts ~out_size
+        ~private_env_slot:(fun s -> priv.(s))
+        ?hold_private index
+        (List.map
+           (fun (t : Cse.binding) ->
+             (t.expr, Om_expr.Vm.To_env (Ni.find index t.name)))
+           b.temps
+        @ List.map
+            (fun (target, e) ->
+              ( e,
+                Om_expr.Vm.To_out
+                  (int_of_string
+                     (String.sub target 5 (String.length target - 5))) ))
+            b.roots)
     in
+    let serial_lower, _ =
+      let index = layout [ serial ] in
+      best (fun () -> lower_block ~hold_private:true index serial)
+    in
+    let index = layout blocks in
+    let lower, _ = best (fun () -> List.map (lower_block index) blocks) in
+    let temps = List.concat_map (fun (b : Cse.block) -> b.temps) blocks in
     let cost_dyn, _ =
       best (fun () ->
           List.map
@@ -1680,7 +1703,8 @@ let compile_stages () =
               blocks)
     in
     let stages =
-      [ typecheck; partition; backend; cse; lower; cost_dyn; analyse ]
+      [ typecheck; partition; backend; cse; serial_cse; serial_lower; lower;
+        cost_dyn; analyse ]
     in
     Printf.printf "%-11s %7s" label
       (if frontend then Printf.sprintf "%.1f" (fst flatten) else "-");
@@ -1690,8 +1714,9 @@ let compile_stages () =
     List.iter (fun (_, mw) -> Printf.printf " %5.2fMw" mw) stages;
     print_newline ()
   in
-  Printf.printf "%-11s %7s %7s %7s %7s %7s %7s %7s %7s\n" "model" "flatten"
-    "tcheck" "part" "backend" "cse" "lower" "costdyn*" "analyse";
+  Printf.printf "%-11s %7s %7s %7s %7s %7s %7s %7s %7s %7s %7s\n" "model"
+    "flatten" "tcheck" "part" "backend" "cse" "s-cse" "s-lower" "lower*"
+    "costdyn*" "analyse";
   let source s () = Om_lang.Flatten.flatten (Om_lang.Parser.parse_model s) in
   let bscaled n = source (Om_models.Bearing_scaled.source ~n_rollers:n ()) in
   row "bscaled60" (bscaled 60);
@@ -1701,9 +1726,13 @@ let compile_stages () =
       Om_pde.Discretize.heat_1d ~n:3000 ());
   row "bearing2d" (source (Om_models.Bearing2d.source ()));
   Printf.printf
-    "* costdyn: every task's Cost_dyn step lists.  The backend defers this \
-     work to a task's first measured_eval (simulated execution only), so \
-     it is not part of the backend column.\n"
+    "cse: numbering every root tree once plus the per-task CSE over it; \
+     s-cse: the serial (global) CSE over the same numbering; s-lower: \
+     lowering and peephole of the serial program.\n\
+     * deferred, so not part of the backend column.  lower: lowering and \
+     peephole of every task's program, done on the first parallel run.  \
+     costdyn: every task's Cost_dyn step lists, built on a task's first \
+     measured_eval (simulated execution only).\n"
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,7 +1,7 @@
-(* Batched execution of a compiled bytecode backend: the same task and
+(* Batched execution of a compiled bytecode backend: the serial and
    epilogue register programs, reinterpreted over structure-of-arrays
    lanes by {!Om_expr.Vm_batch}.  Per lane the semantics are exactly
-   {!Bytecode_backend.rhs_fn} — set state, run every task in order, run
+   {!Bytecode_backend.rhs_fn} — set state, run the serial program, run
    the epilogue, copy the derivative slots out. *)
 
 module Bb = Bytecode_backend
@@ -12,33 +12,20 @@ type t = {
   width : int;
   env : float array array; (* env_size x width: states, t, CSE temps *)
   out : float array array; (* n_slots x width *)
-  tasks : Vb.t array;
-  epilogue : Vb.t option;
+  serial : Vb.t;
+  epilogue : Vb.t;
 }
 
-let task_program (tk : Bb.compiled_task) =
-  match tk.program with
-  | Some p -> p
-  | None ->
-      invalid_arg "Batch_backend.create: task without a VM program"
-
 let create (c : Bb.t) ~width =
-  if c.backend <> Bb.Exec_vm then
-    invalid_arg "Batch_backend.create: requires the Exec_vm backend";
   if width < 1 then invalid_arg "Batch_backend.create: width < 1";
-  let progs = Array.map task_program c.tasks in
-  let env_size =
-    Array.fold_left
-      (fun m p -> max m (Om_expr.Vm.raw p).rw_env_size)
-      (c.dim + 1) progs
-  in
+  let env_size = max (c.dim + 1) (Om_expr.Vm.raw c.serial_program).rw_env_size in
   {
     dim = c.dim;
     width;
     env = Array.init env_size (fun _ -> Array.make width 0.);
     out = Array.init c.n_slots (fun _ -> Array.make width 0.);
-    tasks = Array.map (Vb.create ~width) progs;
-    epilogue = Option.map (Vb.create ~width) c.epilogue_program;
+    serial = Vb.create ~width c.serial_program;
+    epilogue = Vb.create ~width c.epilogue_program;
   }
 
 (* Fresh SoA columns and Vm_batch scratch over the shared conditioned
@@ -49,8 +36,8 @@ let clone_scratch t =
     t with
     env = Array.init (Array.length t.env) (fun _ -> Array.make t.width 0.);
     out = Array.init (Array.length t.out) (fun _ -> Array.make t.width 0.);
-    tasks = Array.map Vb.clone_scratch t.tasks;
-    epilogue = Option.map Vb.clone_scratch t.epilogue;
+    serial = Vb.clone_scratch t.serial;
+    epilogue = Vb.clone_scratch t.epilogue;
   }
 
 let width t = t.width
@@ -62,13 +49,8 @@ let brhs t ~times ~y ~ydot ~lo ~hi =
     Array.blit y.(i) lo t.env.(i) lo n
   done;
   Array.blit times lo t.env.(t.dim) lo n;
-  let tasks = t.tasks in
-  for ti = 0 to Array.length tasks - 1 do
-    Vb.exec tasks.(ti) ~env:t.env ~out:t.out ~lo ~hi
-  done;
-  (match t.epilogue with
-  | Some ep -> Vb.exec ep ~env:t.env ~out:t.out ~lo ~hi
-  | None -> ());
+  Vb.exec t.serial ~env:t.env ~out:t.out ~lo ~hi;
+  Vb.exec t.epilogue ~env:t.env ~out:t.out ~lo ~hi;
   for i = 0 to t.dim - 1 do
     Array.blit t.out.(i) lo ydot.(i) lo n
   done

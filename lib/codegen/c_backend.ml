@@ -150,6 +150,8 @@ let generate ~mode (plan : Partition.plan) ~state_names ~initial ~model_name =
   let blocks =
     match mode with
     | Parallel ->
+        (* One numbering shared by every task's elimination. *)
+        let numbering = Cse.numbering () in
         Array.to_list plan.tasks
         |> List.map (fun (tk : Partition.task) ->
                let targets =
@@ -158,8 +160,9 @@ let generate ~mode (plan : Partition.plan) ~state_names ~initial ~model_name =
                    tk.roots
                in
                ( tk,
-                 Cse.eliminate ~prefix:(Printf.sprintf "cse$%d$" tk.tid)
-                   targets ))
+                 Cse.eliminate_numbered
+                   ~prefix:(Printf.sprintf "cse$%d$" tk.tid)
+                   [ Cse.number numbering targets ] ))
     | Serial ->
         let all_roots =
           Array.to_list plan.tasks

@@ -192,6 +192,8 @@ let generate ~mode (plan : Partition.plan) ~state_names ~initial ~model_name =
   let blocks =
     match mode with
     | Parallel ->
+        (* One numbering shared by every task's elimination. *)
+        let numbering = Cse.numbering () in
         Array.to_list plan.tasks
         |> List.map (fun (tk : Partition.task) ->
                let targets =
@@ -200,8 +202,9 @@ let generate ~mode (plan : Partition.plan) ~state_names ~initial ~model_name =
                    tk.roots
                in
                let block =
-                 Cse.eliminate ~prefix:(Printf.sprintf "cse$%d$" tk.tid)
-                   targets
+                 Cse.eliminate_numbered
+                   ~prefix:(Printf.sprintf "cse$%d$" tk.tid)
+                   [ Cse.number numbering targets ]
                in
                (tk, block))
     | Serial ->

@@ -21,6 +21,8 @@ type t = {
   vm_instructions : int;
   vm_fused : int;
   vm_flops : float;
+  vm_parallel_instructions : int;
+  vm_parallel_fused : int;
 }
 
 let count_lines s =
@@ -48,6 +50,7 @@ let collect ?source (r : Pipeline.result) =
       ~model_name:m.name
   in
   let mma = Mathematica_backend.generate m in
+  let parallel = Bytecode_backend.parallel_stats r.compiled in
   let jg = Jacobian_gen.generate m in
   let jfor = Jacobian_gen.fortran jg ~state_names ~model_name:m.name in
   let source_info =
@@ -82,6 +85,8 @@ let collect ?source (r : Pipeline.result) =
     vm_instructions = r.compiled.vm_instrs;
     vm_fused = r.compiled.vm_fused;
     vm_flops = r.compiled.vm_flops;
+    vm_parallel_instructions = parallel.instrs;
+    vm_parallel_fused = parallel.fused;
   }
 
 let pp ppf s =
@@ -106,7 +111,8 @@ let pp ppf s =
     s.jacobian_lines;
   Fmt.pf ppf "  CSEs parallel / serial     %d / %d@." s.cse_parallel
     s.cse_serial;
-  Fmt.pf ppf "  VM instructions (fused)    %d (%d)@." s.vm_instructions
-    s.vm_fused;
-  Fmt.pf ppf "  VM static flop units       %.0f@." s.vm_flops;
+  Fmt.pf ppf "  VM instructions serial / parallel (fused)  %d (%d) / %d (%d)@."
+    s.vm_instructions s.vm_fused s.vm_parallel_instructions
+    s.vm_parallel_fused;
+  Fmt.pf ppf "  VM serial flop units       %.0f@." s.vm_flops;
   Fmt.pf ppf "  mean RHS cost (flop units) %.0f@." s.total_rhs_flops

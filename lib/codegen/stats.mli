@@ -23,14 +23,20 @@ type t = {
   cse_serial : int;  (** temporaries with global CSE *)
   total_rhs_flops : float;
   vm_instructions : int;
-      (** static register-VM instructions across tasks + epilogue *)
+      (** static register-VM instructions of the serial code: the serial
+          program plus the epilogue *)
   vm_fused : int;  (** fused instructions after the peephole pass *)
-  vm_flops : float;  (** static flop units of the VM code *)
+  vm_flops : float;  (** static flop units of the serial code *)
+  vm_parallel_instructions : int;
+      (** the same for the parallel code: every task's program plus the
+          epilogue *)
+  vm_parallel_fused : int;
 }
 
 val collect : ?source:string -> Pipeline.result -> t
 (** Renders both Fortran modes (and parallel C) to count lines; [source]
-    is the ObjectMath model text, used for the source-line count. *)
+    is the ObjectMath model text, used for the source-line count.  Lowers
+    the parallel code if no run has yet. *)
 
 val pp : t Fmt.t
 (** Paper-style summary table. *)

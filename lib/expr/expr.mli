@@ -59,12 +59,6 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Structural hash, consistent with {!equal}. *)
 
-val hash_node : t -> int list -> int
-(** [hash_node e hs] is [hash e] given [hs], the hashes of
-    [children e] in order: a bottom-up walk hashes every subtree of a
-    tree in time linear in its size.
-    @raise Invalid_argument if [hs] has the wrong length for [e]. *)
-
 (** {1 Constructors} *)
 
 val const : float -> t

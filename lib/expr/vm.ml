@@ -48,6 +48,9 @@ type emitter = {
   mutable consts : float array;
   mutable nconsts : int;
   const_tbl : (int64, int) Hashtbl.t;
+  mutable held : int array;
+      (* env slot -> register holding its value, or -1: private temps
+         kept in registers instead of a store/load round trip *)
 }
 
 let new_emitter () =
@@ -58,6 +61,7 @@ let new_emitter () =
     consts = Array.make 16 0.;
     nconsts = 0;
     const_tbl = Hashtbl.create 16;
+    held = [||];
   }
 
 let emit em op dst a b c =
@@ -107,9 +111,13 @@ let rec lower em index (e : Expr.t) =
       emit em Vm_code.op_ldc r 0 0 (kpool em x);
       r
   | Var v ->
-      let r = fresh em in
-      emit em Vm_code.op_ldv r (Name_index.find index v) 0 0;
-      r
+      let s = Name_index.find index v in
+      if s < Array.length em.held && em.held.(s) >= 0 then em.held.(s)
+      else begin
+        let r = fresh em in
+        emit em Vm_code.op_ldv r s 0 0;
+        r
+      end
   | Add [] -> lower em index Expr.zero
   | Mul [] -> lower em index Expr.one
   | Add (x :: xs) ->
@@ -234,12 +242,21 @@ let compile ?optimize names e =
   let r = lower em (Name_index.of_array names) e in
   finish ?optimize em ~result:r ~env_size:(Array.length names) ~out_size:0
 
-let compile_stmts ?optimize ?private_env_slot ~out_size index stmts =
+let compile_stmts ?optimize ?private_env_slot ?(hold_private = false)
+    ~out_size index stmts =
   let em = new_emitter () in
+  let hold =
+    match private_env_slot with
+    | Some private_slot when hold_private ->
+        em.held <- Array.make (Name_index.size index) (-1);
+        private_slot
+    | _ -> fun _ -> false
+  in
   List.iter
     (fun (e, tgt) ->
       let r = lower em index e in
       match tgt with
+      | To_env s when hold s -> em.held.(s) <- r
       | To_env s -> emit em Vm_code.op_ste 0 r 0 s
       | To_out s -> emit em Vm_code.op_sto 0 r 0 s)
     stmts;

@@ -40,6 +40,7 @@ val compile : ?optimize:bool -> string array -> Expr.t -> program
 val compile_stmts :
   ?optimize:bool ->
   ?private_env_slot:(int -> bool) ->
+  ?hold_private:bool ->
   out_size:int ->
   Name_index.t ->
   (Expr.t * target) list ->
@@ -49,7 +50,12 @@ val compile_stmts :
     layout index, which callers compiling many blocks over one layout
     build once and share.  [private_env_slot] marks env slots only this
     program reads (task-private CSE temporaries), letting the optimiser
-    delete stores that end up unread.  Run with {!exec}. *)
+    delete stores that end up unread.  With [hold_private] (default
+    [false]) a private slot is not stored at all: later statements read
+    the register that computed it, saving a store and a load per use.
+    The statements run in order with no jumps between them, so the
+    register holds the value wherever a later statement reads the slot.
+    Run with {!exec}. *)
 
 val compile_epilogue :
   ?optimize:bool -> out_size:int -> (int * int list) list -> program

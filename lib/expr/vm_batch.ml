@@ -193,7 +193,10 @@ let compact code nregs result =
      28 emula   d <- env.(a) *. regs.(b)
      29 emulb   d <- regs.(a) *. env.(b)
 
-   Fusion is restricted to a def/use pair inside one jump-free segment
+   Fusion is restricted to an [ldv] whose register the whole program
+   reads exactly once ([single_use], counted on the virtual registers
+   before compaction: a register held across statements may be read
+   again past a jump), to a def/use pair inside one jump-free segment
    (no jump instruction or jump target strictly between them) — the
    awake-lane mask cannot change there, so the consumer reads env for
    exactly the lanes the [ldv] would have served — and to env slots not
@@ -203,7 +206,31 @@ let compact code nregs result =
    knows scalar opcodes); jump targets are remapped over the deleted
    instructions. *)
 
-let fuse code =
+(* Per instruction: an [ldv] whose virtual register is read exactly
+   once in the whole program. *)
+let single_use code nregs =
+  let nops = Array.length code / 5 in
+  let reads = Array.make (max nregs 1) 0 in
+  let read r = reads.(r) <- reads.(r) + 1 in
+  for i = 0 to nops - 1 do
+    let a = code.((i * 5) + 2)
+    and b = code.((i * 5) + 3)
+    and c = code.((i * 5) + 4) in
+    match code.(i * 5) with
+    | 3 | 7 | 8 | 9 | 12 | 13 | 14 | 17 | 20 | 21 -> read a
+    | 4 | 5 | 6 | 10 | 15 | 19 ->
+        read a;
+        read b
+    | 11 ->
+        read a;
+        read b;
+        read c
+    | _ -> ()
+  done;
+  Array.init nops (fun i ->
+      code.(i * 5) = 1 && reads.(code.((i * 5) + 1)) = 1)
+
+let fuse code single =
   let nops = Array.length code / 5 in
   let boundary = Array.make (nops + 1) false in
   for i = 0 to nops - 1 do
@@ -217,7 +244,7 @@ let fuse code =
   let dead = Array.make (max nops 1) false in
   let changed = ref false in
   for i = 0 to nops - 1 do
-    if code.(i * 5) = 1 (* ldv *) then begin
+    if single.(i) (* ldv *) then begin
       let r = code.((i * 5) + 1) and e = code.((i * 5) + 2) in
       let j = ref (i + 1) in
       let halt = ref false and blocked = ref false in
@@ -316,8 +343,9 @@ let create (p : Vm.program) ~width =
     done;
     !found
   in
+  let single = single_use r.rw_code r.rw_nregs in
   let code, nregs, result = compact r.rw_code r.rw_nregs r.rw_result in
-  let code = fuse code in
+  let code = fuse code single in
   let njump =
     let nops = Array.length code / 5 in
     let nj = Array.make (max nops 1) (Array.length code) in

@@ -31,11 +31,12 @@
       and the colored compressed-column evaluation decompresses to the
       uncompressed forward differences bitwise;
     - {b trajectory}: bitwise ([Int64.bits_of_float]) identity of the
-      full RK4 trajectory across the raw-equation interpreter, compiled
-      closures, the register VM with and without the peephole pass, the
-      simulated machine (with and without semi-dynamic rescheduling),
-      and real OCaml domains with 1, 2 and 4 workers including live
-      reschedules.
+      full RK4 trajectory of the serial program (the reference) against
+      the raw-equation interpreter, the per-task programs run in task
+      order on one domain, the serial program without the peephole
+      pass, the simulated machine (with and without semi-dynamic
+      rescheduling), real OCaml domains with 1, 2 and 4 workers
+      including live reschedules, and the batched ensemble.
 
     When the reference trajectory is non-finite (explosive dynamics the
     bounded grammar cannot fully rule out) the trajectory matrix is

@@ -87,6 +87,10 @@ let create ?spin_budget ?barrier_deadline ?fault ~nworkers
   Array.blit slices 0 worker_tasks 0 nworkers;
   let task_seconds = Array.make ntasks 0. in
   let tasks = compiled.Bb.tasks in
+  (* The per-task programs are lowered here, on the supervisor, if no
+     instance of the artifact has asked for them yet: never inside a
+     worker's round. *)
+  let evals = Bb.task_evals compiled in
   let round_box = Array.make 1 0 in
   let plain_job w =
     (* [worker_tasks] is re-read every round, so a slice swapped in by
@@ -96,7 +100,7 @@ let create ?spin_budget ?barrier_deadline ?fault ~nworkers
     for i = 0 to Array.length mine - 1 do
       let tid = Array.unsafe_get mine i in
       let t0 = Monotonic.now () in
-      (Array.unsafe_get tasks tid).Bb.eval ();
+      (Array.unsafe_get evals tid) ();
       Array.unsafe_set task_seconds tid (Monotonic.now () -. t0)
     done
   in
@@ -114,7 +118,7 @@ let create ?spin_budget ?barrier_deadline ?fault ~nworkers
           for i = 0 to Array.length mine - 1 do
             let tid = Array.unsafe_get mine i in
             let t0 = Monotonic.now () in
-            (Array.unsafe_get tasks tid).Bb.eval ();
+            (Array.unsafe_get evals tid) ();
             Array.unsafe_set task_seconds tid (Monotonic.now () -. t0);
             let p = Om_guard.Fault_plan.task_poison plan ~round ~task:tid in
             if p <> 0. then

@@ -138,6 +138,75 @@ let prop_cse_eval_equivalence =
           Float.abs (v1 -. v2) <= 1e-9 *. (1. +. Float.abs v1))
         targets block.roots)
 
+let slot_targets (tk : Part.task) =
+  List.map (fun (s, e) -> (Printf.sprintf "slot$%d" s, e)) tk.roots
+
+let same_targets a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (t1, e1) (t2, e2) -> t1 = t2 && E.equal e1 e2) a b
+
+(* On generated models, the blocks the backend builds over one shared
+   numbering — per task, and global over every task — inline back to
+   exactly the partitioned roots, and the global block is the one a
+   fresh elimination over all roots builds. *)
+let prop_cse_fuzz_models =
+  QCheck.Test.make ~name:"global and per-task CSE inline on fuzz models"
+    ~count:40 QCheck.(int_bound 1_000_000) (fun seed ->
+      let m =
+        Om_lang.Flatten.flatten (Om_fuzz.Gen.model (Random.State.make [| seed |]))
+      in
+      let plan = Part.partition (A.of_flat_model m) in
+      let nb = Cse.numbering () in
+      let numbered = Array.map (fun tk -> Cse.number nb (slot_targets tk)) plan.tasks in
+      let all = List.concat_map slot_targets (Array.to_list plan.tasks) in
+      let global = Cse.eliminate_numbered ~prefix:"cse$g$" (Array.to_list numbered) in
+      let fresh = Cse.eliminate ~prefix:"cse$g$" all in
+      Cse.verify_no_forward_refs global
+      && same_targets all (Cse.inline global)
+      && same_targets
+           (List.map (fun (b : Cse.binding) -> (b.name, b.expr)) fresh.temps)
+           (List.map (fun (b : Cse.binding) -> (b.name, b.expr)) global.temps)
+      && same_targets fresh.roots global.roots
+      && Array.for_all2
+           (fun tk n ->
+             same_targets (slot_targets tk)
+               (Cse.inline (Cse.eliminate_numbered [ n ])))
+           plan.tasks numbered)
+
+(* Elimination is linear: doubling the bearing's rollers (which doubles
+   the root trees) at most about doubles the node comparisons, for the
+   global and for the per-task scope.  Comparisons are counted, not
+   timed, so the check is deterministic. *)
+let test_cse_linear () =
+  let work n_rollers =
+    let m = Om_models.Bearing_scaled.model ~n_rollers () in
+    let plan = Part.partition (A.of_flat_model m) in
+    let tasks = Array.to_list plan.tasks in
+    let all = List.concat_map slot_targets tasks in
+    let global =
+      let nb = Cse.numbering () in
+      ignore (Cse.eliminate_numbered [ Cse.number nb all ]);
+      Cse.comparisons nb
+    in
+    let per_task =
+      let nb = Cse.numbering () in
+      List.iter
+        (fun tk -> ignore (Cse.eliminate_numbered [ Cse.number nb (slot_targets tk) ]))
+        tasks;
+      Cse.comparisons nb
+    in
+    let size = List.fold_left (fun n (_, e) -> n + E.size e) 0 all in
+    (float_of_int global, float_of_int per_task, float_of_int size)
+  in
+  let g30, p30, s30 = work 30 and g60, p60, s60 = work 60 in
+  Alcotest.(check bool) "input doubles" true (s60 <= 2.05 *. s30);
+  Alcotest.(check bool)
+    (Printf.sprintf "global %.0f -> %.0f comparisons" g30 g60)
+    true (g60 <= 2.2 *. g30);
+  Alcotest.(check bool)
+    (Printf.sprintf "per-task %.0f -> %.0f comparisons" p30 p60)
+    true (p60 <= 2.2 *. p30)
+
 (* ---------- partition ---------- *)
 
 let heavy_expr n =
@@ -262,40 +331,91 @@ let test_bytecode_scopes_agree () =
       Alcotest.(check (float 1e-10)) (Printf.sprintf "global %d" i) v c.(i))
     a
 
-let test_bytecode_backends_agree () =
-  (* The register-VM engine and the historical closure engine must
-     produce the same derivatives on a nontrivial model. *)
-  let src = Om_models.Bearing2d.source () in
-  let m = tiny_model src in
-  let assigns = A.of_flat_model m in
-  let plan = Part.partition assigns in
-  let names = Fm.state_names m in
-  let y0 = Fm.initial_values m in
-  let out backend =
-    let bc = Bc.compile ~backend plan ~state_names:names in
-    let d = Array.make (Array.length y0) 0. in
-    Bc.rhs_fn bc 0.01 y0 d;
-    (bc, d)
-  in
-  let vm, dv = out Bc.Exec_vm in
-  let cl, dc = out Bc.Exec_closures in
-  Array.iteri
-    (fun i v ->
-      let rel =
-        Float.abs (v -. dc.(i))
-        /. (1. +. Float.max (Float.abs v) (Float.abs dc.(i)))
+let bits = Array.map Int64.bits_of_float
+
+(* The serial program (global CSE, temps held in registers) and the
+   per-task programs run in task order compute the same derivatives bit
+   for bit, and the serial program is the smaller one. *)
+let test_bytecode_serial_per_task_agree () =
+  List.iter
+    (fun (label, (m : Fm.t)) ->
+      let plan = Part.partition (A.of_flat_model m) in
+      let bc = Bc.compile plan ~state_names:(Fm.state_names m) in
+      let y0 = Fm.initial_values m in
+      let run f =
+        let d = Array.make (Array.length y0) 0. in
+        f 0.01 y0 d;
+        d
       in
+      let serial = run (Bc.rhs_fn bc) in
+      Alcotest.(check int) (label ^ ": parallel code deferred") 0
+        (bc.parallel_builds ());
+      let per_task = run (Bc.rhs_fn_per_task bc) in
+      Alcotest.(check int) (label ^ ": parallel code lowered once") 1
+        (bc.parallel_builds ());
+      Alcotest.(check (array int64)) (label ^ ": bitwise equal") (bits per_task)
+        (bits serial);
+      Alcotest.(check int) (label ^ ": one program per task")
+        (Array.length bc.tasks)
+        (Array.length (Bc.task_programs bc));
+      let parallel = (Bc.parallel_stats bc).instrs in
       Alcotest.(check bool)
-        (Printf.sprintf "deriv %d agrees (%g vs %g)" i v dc.(i))
-        true (rel <= 1e-12))
-    dv;
-  (* Static VM statistics only exist for the VM engine. *)
-  Alcotest.(check bool) "vm instrs counted" true (vm.Bc.vm_instrs > 0);
-  Alcotest.(check int) "closures have no vm instrs" 0 cl.Bc.vm_instrs;
-  Array.iter
-    (fun t ->
-      Alcotest.(check bool) "vm task has program" true (t.Bc.program <> None))
-    vm.Bc.tasks
+        (Printf.sprintf "%s: serial %d < parallel %d instructions" label
+           bc.vm_instrs parallel)
+        true (bc.vm_instrs < parallel))
+    [
+      ("bearing2d", Om_models.Bearing2d.model ());
+      ("powerplant", Om_models.Powerplant.model ());
+      ("servo", tiny_model (Om_models.Servo.source ()));
+    ]
+
+(* Two clones of one artifact run real parallel rounds from two domains
+   at once, before anything has lowered the per-task programs: the
+   programs are lowered once, and every round equals the serial
+   program. *)
+let test_bytecode_parallel_lowered_once () =
+  let r = P.compile (Om_models.Bearing2d.model ()) in
+  let bc = r.compiled in
+  Alcotest.(check int) "nothing lowered at compile" 0 (bc.parallel_builds ());
+  let costs = Bc.task_costs_static bc in
+  let sched = Om_sched.Lpt.schedule ~costs r.tasks ~nprocs:2 in
+  let desc =
+    Om_machine.Round_desc.make ~assignment:sched.assignment ~task_flops:costs
+      ~task_reads:(Array.map (fun t -> t.Om_sched.Task.reads) r.tasks)
+      ~task_writes:(Array.map (fun t -> t.Om_sched.Task.writes) r.tasks)
+      ~state_dim:bc.dim
+  in
+  let y0 = Fm.initial_values r.model in
+  let expect = Array.make bc.dim 0. in
+  Bc.rhs_fn (Bc.clone_scratch bc) 0.5 y0 expect;
+  let ready = Atomic.make 0 in
+  let run c () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    Om_parallel.Par_exec.with_executor ~nworkers:2 desc c @@ fun px ->
+    let d = Array.make bc.dim 0. in
+    Om_parallel.Par_exec.rhs_fn px 0.5 y0 d;
+    d
+  in
+  let da = Domain.spawn (run (Bc.clone_scratch bc))
+  and db = Domain.spawn (run (Bc.clone_scratch bc)) in
+  let ra = Domain.join da and rb = Domain.join db in
+  Alcotest.(check (array int64)) "clone A = serial" (bits expect) (bits ra);
+  Alcotest.(check (array int64)) "clone B = serial" (bits expect) (bits rb);
+  Alcotest.(check int) "per-task programs lowered once" 1 (bc.parallel_builds ())
+
+let test_bytecode_serial_no_alloc () =
+  let r = P.compile (Om_models.Bearing2d.model ()) in
+  let y0 = Fm.initial_values r.model in
+  let ydot = Array.make r.compiled.dim 0. in
+  let rhs = P.rhs_fn r in
+  rhs 0. y0 ydot;
+  let before = Gc.minor_words () in
+  rhs 0. y0 ydot;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "one serial rhs_fn call allocates nothing" 0. words
 
 let test_bytecode_measured_eval () =
   let _, bc = compile_model oscillator in
@@ -347,7 +467,6 @@ let test_bytecode_measured_eval_concurrent () =
   let da = Domain.spawn (run a) and db = Domain.spawn (run b) in
   let ra = Domain.join da and rb = Domain.join db in
   let seq = measure (Bc.clone_scratch bc) in
-  let bits = Array.map Int64.bits_of_float in
   Alcotest.(check (array int64)) "domain A = sequential" (bits seq) (bits ra);
   Alcotest.(check (array int64)) "domain B = sequential" (bits seq) (bits rb);
   Alcotest.(check int) "each task's lists built once" n (bc.cost_steps_built ())
@@ -566,45 +685,56 @@ let test_pipeline_rhs_equivalence () =
       Alcotest.(check (float 1e-10)) (Printf.sprintf "deriv %d" i) v d2.(i))
     d1
 
-(* Golden codegen identity: a digest of every task's and the epilogue's
-   disassembly plus constant pool (bit patterns).  Any change to CSE
-   temp naming order, env slot layout, lowering or peephole output
-   changes the digest; update the pins only for a deliberate codegen
-   change. *)
-let codegen_digest (m : Fm.t) =
+(* Golden codegen identity: a digest of the disassembly plus constant
+   pool (bit patterns) of the parallel code (every task's program, then
+   the epilogue) and of the serial code (the serial program, then the
+   epilogue).  Any change to CSE temp naming order, env slot layout,
+   lowering or peephole output changes a digest; update the pins only
+   for a deliberate codegen change.  The parallel pins predate deferred
+   lowering, so they also show that lowering on demand emits the same
+   bytes. *)
+let codegen_digests (m : Fm.t) =
   let r = P.compile m in
-  let b = Buffer.create 4096 in
-  let add_program p =
-    Buffer.add_string b (Om_expr.Vm.disassemble p);
-    Array.iter
-      (fun k ->
-        Buffer.add_string b (Printf.sprintf "%Lx\n" (Int64.bits_of_float k)))
-      (Om_expr.Vm.raw p).rw_consts;
-    Buffer.add_string b "--\n"
+  let digest programs =
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun p ->
+        Buffer.add_string b (Om_expr.Vm.disassemble p);
+        Array.iter
+          (fun k ->
+            Buffer.add_string b (Printf.sprintf "%Lx\n" (Int64.bits_of_float k)))
+          (Om_expr.Vm.raw p).rw_consts;
+        Buffer.add_string b "--\n")
+      programs;
+    Digest.to_hex (Digest.string (Buffer.contents b))
   in
-  Array.iter
-    (fun (tk : Bc.compiled_task) -> Option.iter add_program tk.program)
-    r.compiled.tasks;
-  Option.iter add_program r.compiled.epilogue_program;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  let epilogue = r.compiled.epilogue_program in
+  ( digest (Array.to_list (Bc.task_programs r.compiled) @ [ epilogue ]),
+    digest [ r.compiled.serial_program; epilogue ] )
 
 let test_codegen_golden () =
   List.iter
-    (fun (label, model, want) ->
-      Alcotest.(check string) label want (codegen_digest (model ())))
+    (fun (label, model, parallel, serial) ->
+      let p, s = codegen_digests (model ()) in
+      Alcotest.(check string) (label ^ " parallel") parallel p;
+      Alcotest.(check string) (label ^ " serial") serial s)
     [
       ( "bearing_scaled 8",
         (fun () -> Om_models.Bearing_scaled.model ~n_rollers:8 ()),
-        "ae92120a380c91a5af513e0fa72fa458" );
+        "ae92120a380c91a5af513e0fa72fa458",
+        "8f916662c130951862bf4ef7911d9da0" );
       ( "heat_1d 200",
         (fun () -> Om_pde.Discretize.heat_1d ~n:200 ()),
-        "8f0ee0c751724df37f353e7ce4db48e4" );
+        "8f0ee0c751724df37f353e7ce4db48e4",
+        "43bfad26b3408997fe065d4192eedc0f" );
       ( "bearing2d",
         (fun () -> Om_models.Bearing2d.model ()),
-        "34020f31c544c8b9c47fecadf7cc2543" );
+        "34020f31c544c8b9c47fecadf7cc2543",
+        "0d623341d7a44a2f6e2441a942b54cd4" );
       ( "powerplant",
         (fun () -> Om_models.Powerplant.model ()),
-        "55db8bd01905e7eb7b4c41b8c465a14e" );
+        "55db8bd01905e7eb7b4c41b8c465a14e",
+        "9a4dd65c0d597c70475e5eed67ec1e1c" );
     ]
 
 let test_stats_directions () =
@@ -811,6 +941,8 @@ let () =
           Alcotest.test_case "custom prefix" `Quick test_cse_custom_prefix;
           q prop_cse_preserves_semantics;
           q prop_cse_eval_equivalence;
+          q prop_cse_fuzz_models;
+          Alcotest.test_case "linear in model size" `Quick test_cse_linear;
         ] );
       ( "partition",
         [
@@ -830,8 +962,12 @@ let () =
           Alcotest.test_case "matches direct eval" `Quick
             test_bytecode_matches_direct;
           Alcotest.test_case "scopes agree" `Quick test_bytecode_scopes_agree;
-          Alcotest.test_case "backends agree" `Quick
-            test_bytecode_backends_agree;
+          Alcotest.test_case "serial and per-task agree" `Quick
+            test_bytecode_serial_per_task_agree;
+          Alcotest.test_case "parallel code lowered once" `Quick
+            test_bytecode_parallel_lowered_once;
+          Alcotest.test_case "serial rhs allocates nothing" `Quick
+            test_bytecode_serial_no_alloc;
           Alcotest.test_case "measured eval" `Quick test_bytecode_measured_eval;
           Alcotest.test_case "measured eval from two domains" `Quick
             test_bytecode_measured_eval_concurrent;

@@ -80,6 +80,46 @@ let test_batch_matches_scalar () =
         lane_envs)
     sample_exprs
 
+(* A temp held in a register ([Vm.compile_stmts ~hold_private]) and read
+   again past a jump: [z + t0] with [t0 = -x] fuses to [z - x], which
+   reads the load under the held [neg] a second time, after the branch
+   of the middle statement.  Load fusion must keep that load. *)
+let test_batch_held_register_across_jump () =
+  let index = Om_expr.Name_index.of_array [| "x"; "y"; "z"; "t0" |] in
+  let stmts =
+    [
+      (E.neg (E.var "x"), Vm.To_env 3);
+      ( E.if_
+          (E.cond (E.var "y") E.Lt (E.var "z"))
+          (E.sin (E.var "t0"))
+          (E.cos (E.var "y")),
+        Vm.To_out 0 );
+      (E.add [ E.var "z"; E.var "t0" ], Vm.To_out 1);
+    ]
+  in
+  let p =
+    Vm.compile_stmts ~private_env_slot:(fun s -> s = 3) ~hold_private:true
+      ~out_size:2 index stmts
+  in
+  let width = Array.length lane_envs in
+  let env =
+    Array.init 4 (fun i ->
+        Array.init width (fun j -> if i < 3 then lane_envs.(j).(i) else nan))
+  in
+  let out = Array.init 2 (fun _ -> Array.make width 0.) in
+  let b = Vb.create p ~width in
+  Vb.exec b ~env ~out ~lo:0 ~hi:width;
+  Array.iteri
+    (fun j lane ->
+      let sout = Array.make 2 0. in
+      Vm.exec p ~env:(Array.append lane [| nan |]) ~out:sout;
+      check_bits (Printf.sprintf "lane %d z + t0" j) (lane.(2) -. lane.(0))
+        sout.(1);
+      Array.iteri
+        (fun k v -> check_bits (Printf.sprintf "lane %d out %d" j k) v out.(k).(j))
+        sout)
+    lane_envs
+
 let test_batch_width_one () =
   List.iter
     (fun (label, e) ->
@@ -469,6 +509,8 @@ let () =
           Alcotest.test_case "matches scalar per lane" `Quick
             test_batch_matches_scalar;
           Alcotest.test_case "width one" `Quick test_batch_width_one;
+          Alcotest.test_case "held register read past a jump" `Quick
+            test_batch_held_register_across_jump;
           Alcotest.test_case "subrange execution" `Quick test_batch_subrange;
           Alcotest.test_case "zero allocation" `Quick test_batch_zero_alloc;
         ] );
